@@ -7,10 +7,7 @@ amplitude models for atomic hydrogen.  Atomic units throughout.
 """
 
 from .amplitudes import (
-    AmplitudeEstimate,
     McConfig,
-    amplitude_pair,
-    c3_tmatrix,
     coulomb_wave,
     ee_correlation,
     free_limit_closed_form,
@@ -39,6 +36,7 @@ from .bellsim import (
 )
 from .c3mc import PairEstimate, c3_pair
 from .entanglement import (
+    concurrence_closed_form,
     concurrence_pure_closed,
     concurrence_pure_from_state,
     concurrence_unpolarized,
@@ -62,7 +60,6 @@ from .kinematics import (
 from .scan import (
     ConfigError,
     ScanConfig,
-    ScanRecord,
     load_config,
     parse_config,
     resolve_polarizations,

@@ -32,7 +32,6 @@ from .spin import AmplitudePair
 
 __all__ = [
     "McConfig",
-    "AmplitudeEstimate",
     "hydrogen_1s_position",
     "hydrogen_1s_momentum",
     "pwba_amplitudes",
@@ -40,8 +39,6 @@ __all__ = [
     "coulomb_wave",
     "ee_correlation",
     "free_limit_closed_form",
-    "c3_tmatrix",
-    "amplitude_pair",
 ]
 
 
@@ -75,19 +72,6 @@ class McConfig:
         if not self.r_max > 0.0:
             raise ValueError(f"mc r_max must be positive, got {self.r_max}")
         return self
-
-
-@dataclass(frozen=True)
-class AmplitudeEstimate:
-    """A complex amplitude with component-wise standard errors."""
-
-    value: complex
-    stderr_re: float = 0.0
-    stderr_im: float = 0.0
-
-    @property
-    def stderr(self) -> float:
-        return math.hypot(self.stderr_re, self.stderr_im)
 
 
 def hydrogen_1s_position(r, z_charge: float = 1.0):
@@ -222,42 +206,3 @@ def free_limit_closed_form(kin: Kinematics, ordering: str = "direct") -> complex
     phi_q = _phi_1s_q2(float(kin.q @ kin.q))
     phi_k = _phi_1s_q2(float(kslow @ kslow))
     return complex(4.0 * math.pi * (phi_q - phi_k) / d2)
-
-
-def c3_tmatrix(kin: Kinematics, ordering: str, cfg: McConfig) -> AmplitudeEstimate:
-    """Monte Carlo 3C T-matrix estimate for one amplitude ordering.
-
-    Both orderings are evaluated on the same mirror-symmetrized sample
-    set (see ``c3mc``); this returns the requested one.
-    """
-    from . import c3mc
-
-    if ordering not in ("direct", "exchange"):
-        raise ValueError(f"ordering must be 'direct' or 'exchange', got {ordering!r}")
-    est = c3mc.c3_pair(kin, cfg.validated())
-    if ordering == "direct":
-        return AmplitudeEstimate(est.t_d, est.stderr_d_re, est.stderr_d_im)
-    return AmplitudeEstimate(est.t_e, est.stderr_e_re, est.stderr_e_im)
-
-
-def amplitude_pair(model: str, kin: Kinematics, cfg: McConfig | None = None):
-    """Amplitude pair under the selected model.
-
-    Returns (AmplitudePair, (stderr_d, stderr_e)); the standard errors
-    are zero for the analytic Born model.  For the 3C model the
-    exchange amplitude reuses the direct run's sample set with swapped
-    momenta, so symmetric kinematics give an exactly equal pair.
-    """
-    if model == "pwba":
-        return pwba_amplitudes(kin), (0.0, 0.0)
-    if model == "c3":
-        from . import c3mc
-
-        cfg = (cfg or McConfig()).validated()
-        est = c3mc.c3_pair(kin, cfg)
-        return (
-            AmplitudePair(est.t_d, est.t_e),
-            (math.hypot(est.stderr_d_re, est.stderr_d_im),
-             math.hypot(est.stderr_e_re, est.stderr_e_im)),
-        )
-    raise ValueError(f"unknown amplitude model {model!r}")

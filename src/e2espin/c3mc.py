@@ -185,7 +185,6 @@ def c3_pair(kin: Kinematics, cfg: McConfig, point_key: int = 0) -> PairEstimate:
 
     s1_blocks = []
     s2_blocks = []
-    n_ok_blocks = []
     n_rej_blocks = []
     two_pi = 2.0 * math.pi
     n_blocks = (n_total + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -280,11 +279,9 @@ def c3_pair(kin: Kinematics, cfg: McConfig, point_key: int = 0) -> PairEstimate:
         x = np.stack([wd.real, wd.imag, we.real, we.imag])
         s1_blocks.append(x.sum(axis=1))
         s2_blocks.append(x @ x.T)
-        n_ok_blocks.append(n - n_rej)
         n_rej_blocks.append(n_rej)
 
     n_rejected = sum(n_rej_blocks)
-    n_ok = sum(n_ok_blocks)
     if n_rejected > _MAX_REJECT_FRACTION * n_total:
         raise ArithmeticError(
             f"3C Monte Carlo rejected {n_rejected} of {n_total} samples "
@@ -294,9 +291,11 @@ def c3_pair(kin: Kinematics, cfg: McConfig, point_key: int = 0) -> PairEstimate:
     s2 = np.array(
         [[math.fsum(b[i, j] for b in s2_blocks) for j in range(4)] for i in range(4)]
     )
-    mean = s1 / n_ok
-    sample_cov = (s2 - n_ok * np.outer(mean, mean)) / max(1, n_ok - 1)
-    cov_mean = sample_cov / n_ok
+    # rejected samples count as zero weights over the full budget, so the
+    # estimator is not conditioned on the integrand evaluating finitely
+    mean = s1 / n_total
+    sample_cov = (s2 - n_total * np.outer(mean, mean)) / max(1, n_total - 1)
+    cov_mean = sample_cov / n_total
     return PairEstimate(
         t_d=complex(mean[0], mean[1]),
         t_e=complex(mean[2], mean[3]),

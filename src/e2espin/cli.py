@@ -22,24 +22,22 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import bellsim, c3mc
-from .amplitudes import pwba_amplitudes
-from .bell import RATIO_BOUND, chsh_expectation, bell_lhs_cross_sections, spin_asymmetry
+from . import bellsim
+from .bell import RATIO_BOUND, chsh_expectation
 from .entanglement import (
-    concurrence_pure_closed,
-    concurrence_unpolarized,
+    concurrence_closed_form,
     concurrence_wootters,
-    entanglement_of_formation,
     linear_entropy,
     von_neumann_entropy,
 )
-from .kinematics import HARTREE_EV, build_coplanar, tdcs_basic, tdcs_polarized
+from .kinematics import HARTREE_EV, build_coplanar
 from .scan import (
     ConfigError,
     ScanConfig,
+    amplitude_grids,
     load_config,
+    observables_from_amplitudes,
     parse_config,
-    records_to_grids,
     resolve_polarizations,
     run_scan,
     write_csv,
@@ -77,63 +75,37 @@ def _load_cfg(args) -> ScanConfig:
     return cfg
 
 
-def _point_kinematics(cfg: ScanConfig, theta_a_deg: float, theta_b_deg: float):
+def _point_grids(cfg: ScanConfig, args):
+    """Kinematics and 1x1 amplitude grids at the requested angle pair.
+
+    ``build_coplanar`` rejects angles outside [-180, 180] deg for both
+    models.
+    """
     e0, eb, et = cfg.energies_hartree()
-    return build_coplanar(e0, eb, math.radians(theta_a_deg), math.radians(theta_b_deg), et)
-
-
-def _point_amplitudes(cfg: ScanConfig, kin):
-    if cfg.model == "pwba":
-        return pwba_amplitudes(kin), None
-    est = c3mc.c3_pair(kin, cfg.mc)
-    return AmplitudePair(est.t_d, est.t_e), est
+    kin = build_coplanar(e0, eb, math.radians(args.theta_a), math.radians(args.theta_b), et)
+    td, te, covs = amplitude_grids(cfg, theta_a_deg=[args.theta_a], theta_b_deg=[args.theta_b])
+    return kin, td, te, covs
 
 
 def cmd_point(args) -> int:
     cfg = _load_cfg(args)
-    kin = _point_kinematics(cfg, args.theta_a, args.theta_b)
-    amps, est = _point_amplitudes(cfg, kin)
+    kin, td_grid, te_grid, covs = _point_grids(cfg, args)
+    obs = {k: v[0, 0].item() for k, v in
+           observables_from_amplitudes(cfg, td_grid, te_grid, covs).items()}
     p1, p2 = resolve_polarizations(cfg)
-    p_dot = float(p1 @ p2)
+    td, te = complex(td_grid[0, 0]), complex(te_grid[0, 0])
 
-    xs = tdcs_basic(amps, kin)
-    tdcs_val = tdcs_polarized(amps, p_dot, kin)
-    td, te = complex(amps.t_d), complex(amps.t_e)
-
-    m1, m2 = float(np.linalg.norm(p1)), float(np.linalg.norm(p2))
-    pure = abs(m1 - 1.0) < 1e-12 and abs(m2 - 1.0) < 1e-12
-    closed: float | None
+    closed = concurrence_closed_form(td_grid, te_grid, p1, p2)
+    closed = None if closed is None else closed[0, 0].item()
     if td == 0.0 and te == 0.0:
-        closed, woot, eof = 0.0, 0.0, 0.0
-        s_vn = s_lin = 0.0
-        chsh = 0.0
+        woot = s_vn = s_lin = chsh = 0.0
     else:
-        one_unpol = (m1 == 0.0 and abs(m2 - 1.0) < 1e-12) or (
-            m2 == 0.0 and abs(m1 - 1.0) < 1e-12
-        )
-        if pure:
-            closed = concurrence_pure_closed(amps, p1, p2)
-        elif m1 == 0.0 and m2 == 0.0:
-            closed = concurrence_unpolarized(amps)
-        elif one_unpol:
-            closed = min(
-                1.0, abs(td) * abs(te) / (abs(td) ** 2 + abs(te) ** 2 - (td * te.conjugate()).real)
-            )
-        else:
-            closed = None  # no closed form for general partial polarization
-        rho = rho_mixed(amps, p1, p2)
+        rho = rho_mixed(AmplitudePair(td, te), p1, p2)
         woot = concurrence_wootters(rho)
-        eof = entanglement_of_formation(woot)
         red = reduced_density(rho, "first")
         s_vn = von_neumann_entropy(red)
         s_lin = linear_entropy(red)
         chsh = chsh_expectation(rho)
-
-    i_anti, i_par = xs.i_anti, xs.i_par
-    bell_lhs = (
-        bell_lhs_cross_sections(i_anti, i_par, p1, p2) if i_anti + i_par > 0.0 else 0.0
-    )
-    asym = spin_asymmetry(i_anti, i_par) if i_anti + i_par > 0.0 else 0.0
 
     report = {
         "model": cfg.model,
@@ -151,42 +123,43 @@ def cmd_point(args) -> int:
             "t_e": {"re": te.real, "im": te.imag},
         },
         "tdcs": {
-            "scenario_tdcs": tdcs_val,
-            "i_par": xs.i_par,
-            "i_anti_direct": xs.i_anti_d,
-            "i_anti_exchange": xs.i_anti_e,
-            "i_anti": xs.i_anti,
-            "i_singlet": xs.i_s,
-            "i_triplet": xs.i_t,
+            "scenario_tdcs": obs["tdcs"],
+            "i_par": obs["i_par"],
+            "i_anti_direct": obs["i_anti_direct"],
+            "i_anti_exchange": obs["i_anti_exchange"],
+            "i_anti": obs["i_anti"],
+            "i_singlet": obs["i_singlet"],
+            "i_triplet": obs["i_triplet"],
         },
         "concurrence": {"closed_form": closed, "wootters": woot},
-        "entanglement_of_formation": eof,
+        "entanglement_of_formation": obs["eof"],
         "entropy": {"von_neumann": s_vn, "linear": s_lin},
         "chsh": {
             "expectation": chsh,
-            "bell_lhs": bell_lhs,
-            "violated": bell_lhs > RATIO_BOUND,
+            "bell_lhs": obs["bell_lhs"],
+            "violated": obs["bell_lhs"] > RATIO_BOUND,
         },
-        "asymmetry": {"value": asym, "violated": asym > RATIO_BOUND},
+        "asymmetry": {"value": obs["asymmetry"], "violated": obs["asymmetry"] > RATIO_BOUND},
     }
-    if est is not None:
-        report["amplitudes"]["t_d"]["stderr_re"] = est.stderr_d_re
-        report["amplitudes"]["t_d"]["stderr_im"] = est.stderr_d_im
-        report["amplitudes"]["t_e"]["stderr_re"] = est.stderr_e_re
-        report["amplitudes"]["t_e"]["stderr_im"] = est.stderr_e_im
+    if covs is not None:
+        stderr = np.sqrt(np.clip(np.diagonal(covs[0, 0]), 0.0, None)).tolist()
+        report["amplitudes"]["t_d"]["stderr_re"] = stderr[0]
+        report["amplitudes"]["t_d"]["stderr_im"] = stderr[1]
+        report["amplitudes"]["t_e"]["stderr_re"] = stderr[2]
+        report["amplitudes"]["t_e"]["stderr_im"] = stderr[3]
     print(json.dumps(report, indent=2, default=_json_default))
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
-    records = run_scan(cfg, workers=args.workers)
+    obs, thetas = run_scan(cfg, workers=args.workers)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    write_csv(records, os.path.join(cfg.output_dir, "records.csv"))
-    grids = records_to_grids(records)
+    write_csv(obs, thetas, os.path.join(cfg.output_dir, "records.csv"))
     for name in ("tdcs", "concurrence", "eof", "bell_lhs", "asymmetry"):
-        write_pgm(grids[name], os.path.join(cfg.output_dir, f"{name}.pgm"))
-    n = int(math.isqrt(len(records)))
+        write_pgm(np.where(obs["measurable"], obs[name], 0.0),
+                  os.path.join(cfg.output_dir, f"{name}.pgm"))
+    n = len(thetas)
     print(f"scan complete: {n}x{n} grid, model {cfg.model}, scenario {cfg.scenario}")
     print(f"wrote records.csv and 5 PGM maps to {cfg.output_dir}")
     return EXIT_OK
@@ -194,10 +167,9 @@ def cmd_scan(args) -> int:
 
 def cmd_bell_sim(args) -> int:
     cfg = _load_cfg(args)
-    kin = _point_kinematics(cfg, args.theta_a, args.theta_b)
-    amps, _ = _point_amplitudes(cfg, kin)
+    _, td, te, _ = _point_grids(cfg, args)
     p1, p2 = resolve_polarizations(cfg)
-    rho = rho_mixed(amps, p1, p2)
+    rho = rho_mixed(AmplitudePair(complex(td[0, 0]), complex(te[0, 0])), p1, p2)
     result = bellsim.simulate_chsh(rho, args.n_per_setting, cfg.mc.seed)
     report = {
         "model": cfg.model,

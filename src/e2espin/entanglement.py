@@ -17,6 +17,7 @@ from .spin import AmplitudePair, DegenerateStateError, SpinDensityMatrix
 
 __all__ = [
     "concurrence_wootters",
+    "concurrence_closed_form",
     "concurrence_pure_closed",
     "concurrence_pure_from_state",
     "concurrence_unpolarized",
@@ -82,6 +83,52 @@ def concurrence_wootters(rho) -> float:
     return float(wootters_batch(_as_product_matrix(rho)))
 
 
+def _pure_form(td, te, dot: float) -> np.ndarray:
+    """Pure-state closed form on amplitude arrays, 0 where the state vanishes."""
+    ab2 = np.abs(td) ** 2 + np.abs(te) ** 2
+    u = ab2 - (td * np.conj(te)).real * (1.0 + dot)
+    good = (ab2 > 0.0) & (u > 1e-14 * ab2)
+    out = np.zeros(np.shape(td))
+    out[good] = np.abs(td[good]) * np.abs(te[good]) * (1.0 - dot) / u[good]
+    return np.clip(out, 0.0, 1.0)
+
+
+def _unpolarized_form(td, te) -> np.ndarray:
+    """Unpolarized closed form on amplitude arrays, 0 where the gate is shut."""
+    gate = np.abs(td + te) ** 2 - 3.0 * np.abs(td - te) ** 2
+    open_ = gate > 0.0
+    tdg, teg = td[open_], te[open_]
+    re = (tdg * np.conj(teg)).real
+    ab2 = np.abs(tdg) ** 2 + np.abs(teg) ** 2
+    out = np.zeros(np.shape(td))
+    out[open_] = (4.0 * re - ab2) / (2.0 * (ab2 - re))
+    return np.clip(out, 0.0, 1.0)
+
+
+def concurrence_closed_form(td, te, p1, p2):
+    """Closed-form pair concurrence on arrays of amplitudes, or None.
+
+    Covers unit/unit polarizations (pure state), zero/zero (unpolarized)
+    and unit/zero (one electron unpolarized, where the pure form with
+    perpendicular polarizations applies).  Any other pair has no closed
+    form and gives None; ``concurrence_wootters`` of the averaged density
+    matrix covers it.  Points where both amplitudes vanish give 0.
+    """
+    td = np.asarray(td, dtype=complex)
+    te = np.asarray(te, dtype=complex)
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    m1, m2 = float(np.linalg.norm(p1)), float(np.linalg.norm(p2))
+    unit1, unit2 = abs(m1 - 1.0) < 1e-12, abs(m2 - 1.0) < 1e-12
+    if unit1 and unit2:
+        return _pure_form(td, te, float(p1 @ p2))
+    if (unit1 and m2 == 0.0) or (m1 == 0.0 and unit2):
+        return _pure_form(td, te, 0.0)
+    if m1 == 0.0 and m2 == 0.0:
+        return _unpolarized_form(td, te)
+    return None
+
+
 def concurrence_pure_closed(amps: AmplitudePair, zeta1, zeta2) -> float:
     """Closed-form pair concurrence for fully polarized initial spins.
 
@@ -97,8 +144,7 @@ def concurrence_pure_closed(amps: AmplitudePair, zeta1, zeta2) -> float:
     u = abs(td) ** 2 + abs(te) ** 2 - (td * te.conjugate()).real * (1.0 + dot)
     if u <= 1e-14 * (abs(td) ** 2 + abs(te) ** 2 + 1e-300):
         raise DegenerateStateError("pair state vanishes (u = 0)")
-    c = abs(td) * abs(te) * (1.0 - dot) / u
-    return min(1.0, max(0.0, c))
+    return float(_pure_form(np.asarray(td), np.asarray(te), dot))
 
 
 def concurrence_pure_from_state(psi) -> float:
@@ -129,13 +175,7 @@ def concurrence_unpolarized(amps: AmplitudePair) -> float:
     td, te = complex(amps.t_d), complex(amps.t_e)
     if td == 0.0 and te == 0.0:
         raise ValueError("both amplitudes are zero")
-    gate = abs(td + te) ** 2 - 3.0 * abs(td - te) ** 2
-    if gate <= 0.0:
-        return 0.0
-    re = (td * te.conjugate()).real
-    num = 4.0 * re - abs(td) ** 2 - abs(te) ** 2
-    den = 2.0 * (abs(td) ** 2 + abs(te) ** 2 - re)
-    return min(1.0, max(0.0, num / den))
+    return float(_unpolarized_form(np.asarray(td), np.asarray(te)))
 
 
 def singlet_triplet_concurrence(i_s: float, i_t: float) -> float:
@@ -149,18 +189,21 @@ def singlet_triplet_concurrence(i_s: float, i_t: float) -> float:
     return (i_s - i_t) / (i_s + i_t)
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+def entanglement_of_formation(c):
+    """Entanglement of formation of a two-qubit state with concurrence c.
 
-
-def entanglement_of_formation(c: float) -> float:
-    """Entanglement of formation of a two-qubit state with concurrence c."""
-    c = float(c)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concurrence must be in [0, 1], got {c}")
-    return _binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    Takes a scalar (returns a float) or an array of concurrences.
+    """
+    c = np.asarray(c, dtype=float)
+    ok = (c >= 0.0) & (c <= 1.0)
+    if not ok.all():
+        raise ValueError(f"concurrence must be in [0, 1], got {c[~ok].flat[0]}")
+    x = 0.5 * (1.0 + np.sqrt(np.clip(1.0 - c * c, 0.0, None)))
+    out = np.zeros_like(x)
+    inner = (x > 0.0) & (x < 1.0)
+    xi = x[inner]
+    out[inner] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
+    return float(out) if out.ndim == 0 else out
 
 
 def entropy_from_concurrence(c: float) -> float:

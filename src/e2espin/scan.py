@@ -9,6 +9,10 @@ maximum are flagged unmeasurable, mimicking a detection threshold: an
 experiment sees zeros there no matter what the entanglement measures
 do.
 
+``observables_from_amplitudes`` is the one place observables are
+assembled: it maps amplitude arrays of any grid shape to a dict of
+arrays of that shape.  ``point`` and ``bell-sim`` call it on a 1x1 grid.
+
 Polarization scenarios
 ----------------------
 perp            P1 = z, P2 = x (fully polarized, perpendicular)
@@ -17,8 +21,11 @@ one_unpolarized P1 = z, P2 = 0
 unpolarized     P1 = P2 = 0
 custom          explicit P1, P2 with |P| <= 1
 
-Fully polarized scenarios use the pure-state closed forms; mixed ones
-go through the Wootters concurrence of the averaged density matrix.
+The four named scenarios use the closed-form concurrences of
+``entanglement.concurrence_closed_form``.  Only ``custom``
+polarizations with either magnitude strictly between 0 and 1 go
+through the batched Wootters concurrence of the averaged density
+matrix.
 
 Output files are deterministic byte for byte: numbers are written in
 shortest round-trip decimal form, grid points are processed with
@@ -37,14 +44,13 @@ import numpy as np
 
 from . import c3mc
 from .amplitudes import McConfig, pwba_grid
-from .entanglement import wootters_batch
+from .entanglement import concurrence_closed_form, entanglement_of_formation, wootters_batch
 from .kinematics import HARTREE_EV, build_coplanar, tdcs_prefactor
 from .spin import _branch_kernels
 
 __all__ = [
     "ConfigError",
     "ScanConfig",
-    "ScanRecord",
     "SCENARIOS",
     "load_config",
     "parse_config",
@@ -52,7 +58,6 @@ __all__ = [
     "amplitude_grids",
     "observables_from_amplitudes",
     "run_scan",
-    "records_to_grids",
     "write_csv",
     "write_pgm",
 ]
@@ -100,29 +105,37 @@ class ScanConfig:
         return self.theta_min_deg + self.step_deg * np.arange(n + 1)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    theta_a_deg: float
-    theta_b_deg: float
-    tdcs: float
-    concurrence: float
-    eof: float
-    bell_lhs: float
-    asymmetry: float
-    measurable: bool
-    tdcs_stderr: float | None = None
-
-
 _TOP_KEYS = {
     "model", "e0_ev", "equal_sharing", "eb_ev", "et_ev", "scenario", "p1", "p2",
     "theta_min_deg", "theta_max_deg", "step_deg", "threshold_frac", "mc", "output_dir",
 }
-_MC_KEYS = {"samples", "seed", "lambda1", "r_max", "debug_free_limit"}
 
 
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
+
+
+def _convert(key: str, value, conv):
+    """``conv(value)``, with a ConfigError naming ``key`` when it fails."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} has an invalid value {value!r}: {exc}") from exc
+
+
+def _vector(value) -> tuple:
+    return tuple(float(x) for x in value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+_MC_TYPES = {"samples": int, "seed": int, "lambda1": float, "r_max": float,
+             "debug_free_limit": _flag}
 
 
 def parse_config(data: dict) -> ScanConfig:
@@ -133,29 +146,35 @@ def parse_config(data: dict) -> ScanConfig:
 
     mc_data = data.get("mc", {})
     _require(isinstance(mc_data, dict), "mc must be an object")
-    unknown = set(mc_data) - _MC_KEYS
+    unknown = set(mc_data) - set(_MC_TYPES)
     _require(not unknown, f"unknown mc key(s): {', '.join(sorted(unknown))}")
-    mc_defaults = {"samples": _SCAN_MC_SAMPLES, "seed": 0, "lambda1": 1.0,
-                   "r_max": 14.0, "debug_free_limit": False}
-    mc_defaults.update(mc_data)
+    mc_values = {key: _convert(f"mc.{key}", value, _MC_TYPES[key])
+                 for key, value in mc_data.items()}
     try:
-        mc = McConfig(**mc_defaults).validated()
+        mc = McConfig(**{"samples": _SCAN_MC_SAMPLES, **mc_values}).validated()
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 
+    def number(key, default):
+        return _convert(key, data.get(key, default), float)
+
+    def optional(key, conv):
+        return None if data.get(key) is None else _convert(key, data[key], conv)
+
     cfg = ScanConfig(
         model=data.get("model", "pwba"),
-        e0_ev=float(data.get("e0_ev", 54.4)),
-        equal_sharing=bool(data.get("equal_sharing", "eb_ev" not in data)),
-        eb_ev=None if data.get("eb_ev") is None else float(data["eb_ev"]),
-        et_ev=float(data.get("et_ev", -13.605693)),
+        e0_ev=number("e0_ev", 54.4),
+        equal_sharing=_convert("equal_sharing", data.get("equal_sharing", "eb_ev" not in data),
+                               _flag),
+        eb_ev=optional("eb_ev", float),
+        et_ev=number("et_ev", -13.605693),
         scenario=data.get("scenario", "unpolarized"),
-        p1=None if data.get("p1") is None else tuple(float(x) for x in data["p1"]),
-        p2=None if data.get("p2") is None else tuple(float(x) for x in data["p2"]),
-        theta_min_deg=float(data.get("theta_min_deg", -180.0)),
-        theta_max_deg=float(data.get("theta_max_deg", 180.0)),
-        step_deg=float(data.get("step_deg", 2.0)),
-        threshold_frac=float(data.get("threshold_frac", 0.05)),
+        p1=optional("p1", _vector),
+        p2=optional("p2", _vector),
+        theta_min_deg=number("theta_min_deg", -180.0),
+        theta_max_deg=number("theta_max_deg", 180.0),
+        step_deg=number("step_deg", 2.0),
+        threshold_frac=number("threshold_frac", 0.05),
         mc=mc,
         output_dir=str(data.get("output_dir", ".")),
     )
@@ -181,8 +200,9 @@ def parse_config(data: dict) -> ScanConfig:
     else:
         _require(cfg.p1 is None and cfg.p2 is None,
                  "p1/p2 are only valid with the custom scenario")
-    _require(cfg.theta_max_deg > cfg.theta_min_deg,
-             "theta_max_deg must exceed theta_min_deg")
+    # beyond +-180 deg a grid would repeat directions under new labels
+    _require(-180.0 <= cfg.theta_min_deg < cfg.theta_max_deg <= 180.0,
+             "theta range must satisfy -180 <= theta_min_deg < theta_max_deg <= 180")
     _require(cfg.step_deg > 0.0, f"step_deg must be positive, got {cfg.step_deg}")
     span = cfg.theta_max_deg - cfg.theta_min_deg
     n = round(span / cfg.step_deg)
@@ -220,60 +240,33 @@ def resolve_polarizations(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(cfg.p1, dtype=float), np.asarray(cfg.p2, dtype=float)
 
 
-def _c3_amplitude_grid(cfg: ScanConfig, thetas_rad: np.ndarray, workers: int):
+def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, workers: int):
     """Per-point 3C amplitudes and TDCS-gradient covariances."""
     e0, eb, et = cfg.energies_hartree()
-    n = len(thetas_rad)
-    td = np.zeros((n, n), dtype=complex)
-    te = np.zeros((n, n), dtype=complex)
-    covs = np.zeros((n, n, 4, 4))
+    na, nb = len(ta_rad), len(tb_rad)
 
     def do_point(idx):
-        i, j = divmod(idx, n)
-        kin = build_coplanar(e0, eb, float(thetas_rad[i]), float(thetas_rad[j]), et)
-        est = c3mc.c3_pair(kin, cfg.mc, point_key=idx)
-        return idx, est
+        i, j = divmod(idx, nb)
+        kin = build_coplanar(e0, eb, float(ta_rad[i]), float(tb_rad[j]), et)
+        return c3mc.c3_pair(kin, cfg.mc, point_key=idx)
 
-    indices = range(n * n)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(do_point, indices)
-            for idx, est in results:
-                i, j = divmod(idx, n)
-                td[i, j] = est.t_d
-                te[i, j] = est.t_e
-                covs[i, j] = est.cov
+            estimates = list(pool.map(do_point, range(na * nb)))
     else:
-        for idx in indices:
-            i, j = divmod(idx, n)
-            _, est = do_point(idx)
-            td[i, j] = est.t_d
-            te[i, j] = est.t_e
-            covs[i, j] = est.cov
+        estimates = [do_point(idx) for idx in range(na * nb)]
+    td = np.array([est.t_d for est in estimates], dtype=complex).reshape(na, nb)
+    te = np.array([est.t_e for est in estimates], dtype=complex).reshape(na, nb)
+    covs = np.array([est.cov for est in estimates]).reshape(na, nb, 4, 4)
     return td, te, covs
 
 
-def _concurrence_grid(td, te, p1, p2) -> np.ndarray:
-    """Pointwise pair concurrence for polarizations (P1, P2).
-
-    Pure closed form when both polarizations are unit vectors, batched
-    Wootters concurrence of the averaged density matrix otherwise.
-    """
-    m1 = float(np.linalg.norm(p1))
-    m2 = float(np.linalg.norm(p2))
-    ab2 = np.abs(td) ** 2 + np.abs(te) ** 2
-    re = (td * np.conj(te)).real
-    alive = ab2 > 0.0
-    out = np.zeros(td.shape)
-    if abs(m1 - 1.0) < 1e-12 and abs(m2 - 1.0) < 1e-12:
-        dot = float(p1 @ p2)
-        u = ab2 - re * (1.0 + dot)
-        good = alive & (u > 1e-14 * ab2)
-        out[good] = np.abs(td[good]) * np.abs(te[good]) * (1.0 - dot) / u[good]
-        return np.clip(out, 0.0, 1.0)
+def _wootters_grid(td, te, p1, p2) -> np.ndarray:
+    """Pointwise Wootters concurrence of the averaged pair density matrix."""
     k1, k2, k3 = _branch_kernels(p1, p2)
-    tdv = td[alive].ravel()
-    tev = te[alive].ravel()
+    alive = np.abs(td) ** 2 + np.abs(te) ** 2 > 0.0
+    tdv = td[alive]
+    tev = te[alive]
     rhos = (
         (np.abs(tdv) ** 2)[:, None, None] * k1
         + (np.abs(tev) ** 2)[:, None, None] * k2
@@ -284,46 +277,54 @@ def _concurrence_grid(td, te, p1, p2) -> np.ndarray:
     ok = tr > 0.0
     c = np.zeros(len(tdv))
     c[ok] = wootters_batch(rhos[ok] / tr[ok, None, None])
+    out = np.zeros(td.shape)
     out[alive] = c
     return out
 
 
-def _eof_grid(c: np.ndarray) -> np.ndarray:
-    x = 0.5 * (1.0 + np.sqrt(np.clip(1.0 - c * c, 0.0, None)))
-    out = np.zeros_like(c)
-    inner = (x > 0.0) & (x < 1.0)
-    xi = x[inner]
-    out[inner] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
-    return out
+def amplitude_grids(cfg: ScanConfig, workers: int = 1, theta_a_deg=None, theta_b_deg=None):
+    """Amplitude arrays (t_d, t_e, covariances) on a (theta_A, theta_B) grid.
 
-
-def amplitude_grids(cfg: ScanConfig, workers: int = 1):
-    """Amplitude arrays (t_d, t_e, covariances) on the configured grid.
-
-    The covariance array is None for the analytic Born model.  The
-    grids do not depend on the polarization scenario, so one evaluation
-    can feed several scenario assemblies.
+    Both angle axes default to the configured grid; ``point`` passes one
+    angle each.  3C point keys are the row-major grid indices.  The
+    covariance array is None for the analytic Born model.  The grids do
+    not depend on the polarization scenario, so one evaluation can feed
+    several scenario assemblies.
     """
-    thetas_rad = np.deg2rad(cfg.grid_deg())
+    grid = cfg.grid_deg()
+    ta = np.deg2rad(grid if theta_a_deg is None else theta_a_deg)
+    tb = np.deg2rad(grid if theta_b_deg is None else theta_b_deg)
     e0, eb, et = cfg.energies_hartree()
     if cfg.model == "pwba":
-        td, te = pwba_grid(e0, eb, et, thetas_rad, thetas_rad)
+        td, te = pwba_grid(e0, eb, et, ta, tb)
         return td, te, None
-    return _c3_amplitude_grid(cfg, thetas_rad, workers)
+    if cfg.model == "c3":
+        return _c3_amplitude_grid(cfg, ta, tb, workers)
+    raise ValueError(f"unknown amplitude model {cfg.model!r}")
 
 
-def observables_from_amplitudes(cfg: ScanConfig, td, te, covs=None) -> list[ScanRecord]:
-    """Assemble scenario observables and masking from amplitude grids."""
-    thetas_deg = cfg.grid_deg()
+def observables_from_amplitudes(cfg: ScanConfig, td, te, covs=None) -> dict:
+    """Scenario observables and masking from amplitude grids.
+
+    Returns a dict of arrays with the grid's shape: ``tdcs`` (for the
+    scenario's polarizations), the spin-resolved parts ``i_par``,
+    ``i_anti``, ``i_anti_direct``, ``i_anti_exchange``, ``i_singlet``,
+    ``i_triplet``, then ``concurrence``, ``eof``, ``bell_lhs``,
+    ``asymmetry``, ``measurable`` and, given covariances,
+    ``tdcs_stderr`` (delta method).  Points where both amplitudes
+    vanish give 0 for every observable.
+    """
     e0, eb, et = cfg.energies_hartree()
     p1, p2 = resolve_polarizations(cfg)
     p_dot = float(p1 @ p2)
     p1y_p2y = float(p1[1] * p2[1])
 
     kin0 = build_coplanar(e0, eb, 0.0, math.radians(90.0), et)
-    pref = tdcs_prefactor(kin0)  # equal energies everywhere on the grid
+    pref = tdcs_prefactor(kin0)  # depends on the energies only
 
-    ab2 = np.abs(td) ** 2 + np.abs(te) ** 2
+    abs_d2 = np.abs(td) ** 2
+    abs_e2 = np.abs(te) ** 2
+    ab2 = abs_d2 + abs_e2
     re = (td * np.conj(te)).real
     i_anti = pref * ab2
     i_par = pref * np.abs(td - te) ** 2
@@ -338,10 +339,28 @@ def observables_from_amplitudes(cfg: ScanConfig, td, te, covs=None) -> list[Scan
     has_flux = den_a > 0.0
     asym = np.where(has_flux, i_anti - i_par, 0.0) / np.where(has_flux, den_a, 1.0)
 
-    conc = _concurrence_grid(td, te, p1, p2)
-    eof = _eof_grid(conc)
+    conc = concurrence_closed_form(td, te, p1, p2)
+    if conc is None:
+        conc = _wootters_grid(td, te, p1, p2)
 
-    tdcs_err = None
+    grid_max = float(tdcs.max())
+    threshold = cfg.threshold_frac * grid_max
+    measurable = tdcs >= threshold if grid_max > 0.0 else np.zeros_like(tdcs, dtype=bool)
+
+    obs = {
+        "tdcs": tdcs,
+        "i_par": i_par,
+        "i_anti": i_anti,
+        "i_anti_direct": pref * abs_d2,
+        "i_anti_exchange": pref * abs_e2,
+        "i_singlet": 0.25 * pref * np.abs(td + te) ** 2,
+        "i_triplet": 0.75 * i_par,
+        "concurrence": conc,
+        "eof": entanglement_of_formation(conc),
+        "bell_lhs": bell_lhs,
+        "asymmetry": asym,
+        "measurable": measurable,
+    }
     if covs is not None:
         c = 1.0 + p_dot
         grad = pref * np.stack(
@@ -354,66 +373,44 @@ def observables_from_amplitudes(cfg: ScanConfig, td, te, covs=None) -> list[Scan
             axis=-1,
         )
         var = np.einsum("ija,ijab,ijb->ij", grad, covs, grad)
-        tdcs_err = np.sqrt(np.clip(var, 0.0, None))
-
-    grid_max = float(tdcs.max())
-    threshold = cfg.threshold_frac * grid_max
-    measurable = tdcs >= threshold if grid_max > 0.0 else np.zeros_like(tdcs, dtype=bool)
-
-    records = []
-    n = len(thetas_deg)
-    for i in range(n):
-        for j in range(n):
-            records.append(
-                ScanRecord(
-                    theta_a_deg=float(thetas_deg[i]),
-                    theta_b_deg=float(thetas_deg[j]),
-                    tdcs=float(tdcs[i, j]),
-                    concurrence=float(conc[i, j]),
-                    eof=float(eof[i, j]),
-                    bell_lhs=float(bell_lhs[i, j]),
-                    asymmetry=float(asym[i, j]),
-                    measurable=bool(measurable[i, j]),
-                    tdcs_stderr=None if tdcs_err is None else float(tdcs_err[i, j]),
-                )
-            )
-    return records
+        obs["tdcs_stderr"] = np.sqrt(np.clip(var, 0.0, None))
+    return obs
 
 
-def run_scan(cfg: ScanConfig, workers: int = 1) -> list[ScanRecord]:
+def run_scan(cfg: ScanConfig, workers: int = 1) -> tuple[dict, np.ndarray]:
     """Evaluate all observables on the configured angle grid.
 
-    The result is ordered theta_A-major ascending and is independent of
+    Returns the observables dict (arrays indexed [theta_A, theta_B])
+    and the angle axis in degrees.  The result is independent of
     ``workers`` (grid points use seeds derived from their index).
     """
     td, te, covs = amplitude_grids(cfg, workers)
-    return observables_from_amplitudes(cfg, td, te, covs)
+    return observables_from_amplitudes(cfg, td, te, covs), cfg.grid_deg()
 
 
-def write_csv(records, path):
-    """Write scan records as CSV (theta_A-major, shortest round-trip floats)."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to write")
-    with_err = records[0].tdcs_stderr is not None
-    header = "theta_a_deg,theta_b_deg,tdcs,concurrence,eof,bell_lhs,asymmetry,measurable"
-    if with_err:
+_CSV_FLOATS = ("tdcs", "concurrence", "eof", "bell_lhs", "asymmetry")
+
+
+def write_csv(obs: dict, thetas_deg, path):
+    """Write a scan as CSV, one row per grid point, theta_A-major.
+
+    Floats are written in shortest round-trip form.  A ``tdcs_stderr``
+    column follows when the scan has one (3C model).
+    """
+    thetas = [repr(t) for t in np.asarray(thetas_deg, dtype=float).tolist()]
+    if not thetas:
+        raise ValueError("no grid points to write")
+    n = len(thetas)
+    if obs["tdcs"].shape != (n, n):
+        raise ValueError(f"observables of shape {obs['tdcs'].shape} do not match {n} angles")
+    header = "theta_a_deg,theta_b_deg," + ",".join(_CSV_FLOATS) + ",measurable"
+    columns = [[t for t in thetas for _ in range(n)], thetas * n]
+    columns += [[repr(v) for v in obs[name].ravel().tolist()] for name in _CSV_FLOATS]
+    columns.append(["true" if m else "false" for m in obs["measurable"].ravel().tolist()])
+    if "tdcs_stderr" in obs:
         header += ",tdcs_stderr"
-    lines = [header]
-    for r in records:
-        row = [
-            repr(float(r.theta_a_deg)),
-            repr(float(r.theta_b_deg)),
-            repr(float(r.tdcs)),
-            repr(float(r.concurrence)),
-            repr(float(r.eof)),
-            repr(float(r.bell_lhs)),
-            repr(float(r.asymmetry)),
-            "true" if r.measurable else "false",
-        ]
-        if with_err:
-            row.append(repr(float(r.tdcs_stderr)))
-        lines.append(",".join(row))
+        columns.append([repr(v) for v in obs["tdcs_stderr"].ravel().tolist()])
+    lines = [header, *map(",".join, zip(*columns))]
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -445,17 +442,3 @@ def write_pgm(field2d, path):
             fh.write("\n".join(tokens) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write PGM to {path}: {exc}") from exc
-
-
-def records_to_grids(records) -> dict:
-    """Reshape a record list into named 2-D grids (masked fields zeroed)."""
-    records = list(records)
-    n = int(round(math.sqrt(len(records))))
-    if n * n != len(records):
-        raise ValueError("record list does not form a square grid")
-    mask = np.array([r.measurable for r in records]).reshape(n, n)
-    out = {"measurable": mask}
-    for name in ("tdcs", "concurrence", "eof", "bell_lhs", "asymmetry"):
-        grid = np.array([getattr(r, name) for r in records]).reshape(n, n)
-        out[name] = np.where(mask, grid, 0.0)
-    return out

@@ -23,6 +23,7 @@ from .bell import (
     chsh_expectation,
 )
 from .entanglement import (
+    concurrence_closed_form,
     concurrence_pure_closed,
     concurrence_unpolarized,
     concurrence_wootters,
@@ -92,12 +93,10 @@ def suite_mixed_concurrence(n: int = 10_000, seed: int = 20241, tol: float = 1e-
         closed = concurrence_unpolarized(amps)
         woot = concurrence_wootters(rho_mixed(amps, zero, zero))
         worst = max(worst, abs(closed - woot))
-        # one electron polarized, the other unpolarized: the perpendicular
-        # closed form applies
-        td, te = amps.t_d, amps.t_e
-        perp = abs(td) * abs(te) / (abs(td) ** 2 + abs(te) ** 2 - (td * te.conjugate()).real)
-        woot1 = concurrence_wootters(rho_mixed(amps, _random_unit(rng), zero))
-        worst = max(worst, abs(min(1.0, perp) - woot1))
+        p1 = _random_unit(rng)
+        closed1 = float(concurrence_closed_form(amps.t_d, amps.t_e, p1, zero))
+        woot1 = concurrence_wootters(rho_mixed(amps, p1, zero))
+        worst = max(worst, abs(closed1 - woot1))
     return SuiteResult("mixed-concurrence-closed-vs-wootters", worst <= tol, worst, tol)
 
 

@@ -35,7 +35,6 @@ from e2espin.scan import (
     amplitude_grids,
     observables_from_amplitudes,
     parse_config,
-    records_to_grids,
     run_scan,
     write_csv,
     write_pgm,
@@ -71,11 +70,11 @@ def random_unit(rng):
 
 
 @pytest.fixture(scope="module")
-def pwba_records():
+def pwba_scans():
     """Default-protocol PWBA scans (2 degree grid) per scenario."""
     cfg = parse_config({})  # 54.4 eV, equal sharing, 2 degrees, pwba
     td, te, covs = amplitude_grids(cfg)
-    out = {}
+    out = {"thetas": cfg.grid_deg()}
     for scenario in ("perp", "antiparallel", "one_unpolarized", "unpolarized"):
         out[scenario] = observables_from_amplitudes(
             replace(cfg, scenario=scenario), td, te, covs
@@ -84,7 +83,7 @@ def pwba_records():
 
 
 @pytest.fixture(scope="module")
-def c3_records():
+def c3_scans():
     """Reduced-grid 3C scans (10 degree step, fixed reduced budget)."""
     cfg = parse_config(
         {
@@ -94,7 +93,7 @@ def c3_records():
         }
     )
     td, te, covs = amplitude_grids(cfg)
-    out = {"td": td, "te": te}
+    out = {"thetas": cfg.grid_deg(), "td": td, "te": te}
     for scenario in ("perp", "antiparallel", "unpolarized"):
         out[scenario] = observables_from_amplitudes(
             replace(cfg, scenario=scenario), td, te, covs
@@ -267,11 +266,15 @@ def test_criterion_06_free_limit_oracle():
     assert elapsed <= 600.0
 
 
-def _grids(records):
-    n = int(round(math.sqrt(len(records))))
-    thetas = np.array(sorted({r.theta_a_deg for r in records}))
-    get = lambda name: np.array([getattr(r, name) for r in records]).reshape(n, n)
-    return thetas, get
+def _grids(scans, scenario):
+    return scans["thetas"], scans[scenario].__getitem__
+
+
+def _measurable_diagonal(scans, scenario):
+    """Mask of measurable grid points with theta_B = -theta_A != 0."""
+    thetas, get = _grids(scans, scenario)
+    ta, tb = thetas[:, None], thetas[None, :]
+    return (ta == -tb) & (ta != 0.0) & get("measurable")
 
 
 def _mott_factor(kin):
@@ -287,7 +290,7 @@ def _mott_factor(kin):
     return 1.0 / a**2 + 1.0 / b**2 - 1.0 / (a * b)
 
 
-def test_criterion_07a_pwba_tdcs_peak_location(pwba_records):
+def test_criterion_07a_pwba_tdcs_peak_location(pwba_scans):
     """The Born binary peak lies on the diagonal with |theta| in [30, 60] deg.
 
     The unpolarized PWBA TDCS factorizes exactly as
@@ -305,7 +308,7 @@ def test_criterion_07a_pwba_tdcs_peak_location(pwba_records):
     """
     cfg = parse_config({})
     e0, eb, et = cfg.energies_hartree()
-    thetas, get = _grids(pwba_records["unpolarized"])
+    thetas, get = _grids(pwba_scans, "unpolarized")
     tdcs = get("tdcs")
     rad = np.radians(thetas)
     mott = np.array(
@@ -329,14 +332,14 @@ def test_criterion_07a_pwba_tdcs_peak_location(pwba_records):
     assert in_band, f"PWBA TDCS/M max at ({ta}, {tb}) is outside |theta| in [30, 60]"
 
 
-def test_criterion_07b_pwba_diagonal_concurrence(pwba_records):
+def test_criterion_07b_pwba_diagonal_concurrence(pwba_scans):
     worst = 0.0
     count = 0
     for scenario in ("perp", "antiparallel", "unpolarized"):
-        for r in pwba_records[scenario]:
-            if r.theta_a_deg == -r.theta_b_deg and r.measurable and r.theta_a_deg != 0.0:
-                worst = max(worst, abs(r.concurrence - 1.0))
-                count += 1
+        diag = _measurable_diagonal(pwba_scans, scenario)
+        conc = pwba_scans[scenario]["concurrence"][diag]
+        worst = max(worst, float(np.abs(conc - 1.0).max(initial=0.0)))
+        count += int(np.count_nonzero(diag))
     ok = count > 0 and worst <= 1e-6
     report(
         "criterion 7b (PWBA concurrence on measurable diagonal)",
@@ -346,12 +349,12 @@ def test_criterion_07b_pwba_diagonal_concurrence(pwba_records):
     assert ok
 
 
-def test_criterion_07c_pwba_unpolarized_gate(pwba_records):
+def test_criterion_07c_pwba_unpolarized_gate(pwba_scans):
     cfg = parse_config({})
     td, te, _ = amplitude_grids(cfg)
     i_s = 0.25 * np.abs(td + te) ** 2
     i_t = 0.75 * np.abs(td - te) ** 2
-    _, get = _grids(pwba_records["unpolarized"])
+    _, get = _grids(pwba_scans, "unpolarized")
     conc = get("concurrence")
     bad = int(np.count_nonzero((i_t >= i_s) & (conc > 0.0)))
     ok = bad == 0
@@ -363,14 +366,14 @@ def test_criterion_07c_pwba_unpolarized_gate(pwba_records):
     assert ok
 
 
-def test_criterion_07d_pwba_violation_superset(pwba_records):
+def test_criterion_07d_pwba_violation_superset(pwba_scans):
     # on points measurable under both polarization scenarios, every
     # perpendicular-scenario violation is also an antiparallel one, and
     # the antiparallel violation region is the larger one overall.  (The
     # two runs have different detection thresholds, so the comparison is
     # made where both runs see signal.)
-    _, get_perp = _grids(pwba_records["perp"])
-    _, get_anti = _grids(pwba_records["antiparallel"])
+    _, get_perp = _grids(pwba_scans, "perp")
+    _, get_anti = _grids(pwba_scans, "antiparallel")
     both = get_perp("measurable") & get_anti("measurable")
     perp_viol = (get_perp("bell_lhs") > RATIO_BOUND) & both
     anti_viol = (get_anti("bell_lhs") > RATIO_BOUND) & both
@@ -387,8 +390,8 @@ def test_criterion_07d_pwba_violation_superset(pwba_records):
     assert ok
 
 
-def test_criterion_07e_c3_structure(c3_records):
-    thetas, get = _grids(c3_records["unpolarized"])
+def test_criterion_07e_c3_structure(c3_scans):
+    thetas, get = _grids(c3_scans, "unpolarized")
     tdcs = get("tdcs")
     err = get("tdcs_stderr")
 
@@ -410,13 +413,12 @@ def test_criterion_07e_c3_structure(c3_records):
     # symmetry of the sampler)
     worst_diag = 0.0
     for scen in ("perp", "antiparallel", "unpolarized"):
-        for r in c3_records[scen]:
-            if r.theta_a_deg == -r.theta_b_deg and r.measurable and r.theta_a_deg != 0.0:
-                worst_diag = max(worst_diag, abs(r.concurrence - 1.0))
+        conc = c3_scans[scen]["concurrence"][_measurable_diagonal(c3_scans, scen)]
+        worst_diag = max(worst_diag, float(np.abs(conc - 1.0).max(initial=0.0)))
     diag_ok = worst_diag <= 1e-6
 
     # the triplet-dominance gate holds identically for the sampled amplitudes
-    td, te = c3_records["td"], c3_records["te"]
+    td, te = c3_scans["td"], c3_scans["te"]
     i_s = 0.25 * np.abs(td + te) ** 2
     i_t = 0.75 * np.abs(td - te) ** 2
     conc = get("concurrence")
@@ -425,8 +427,8 @@ def test_criterion_07e_c3_structure(c3_records):
     gate_ok = gate_bad == 0
 
     # violation-region inclusion on the common measurable set
-    _, gp = _grids(c3_records["perp"])
-    _, ga = _grids(c3_records["antiparallel"])
+    _, gp = _grids(c3_scans, "perp")
+    _, ga = _grids(c3_scans, "antiparallel")
     both = gp("measurable") & ga("measurable")
     perp_viol = (gp("bell_lhs") > RATIO_BOUND) & both
     anti_viol = (ga("bell_lhs") > RATIO_BOUND) & both
@@ -510,12 +512,11 @@ def test_criterion_10_deterministic_outputs(tmp_path):
     for workers in (1, 2):
         blobs = []
         for tag, cfg in (("pwba", cfg_pwba), ("c3", cfg_c3)):
-            records = run_scan(cfg, workers=workers)
+            obs, thetas = run_scan(cfg, workers=workers)
             csv_path = tmp_path / f"{tag}-{workers}.csv"
-            write_csv(records, csv_path)
-            grids = records_to_grids(records)
+            write_csv(obs, thetas, csv_path)
             pgm_path = tmp_path / f"{tag}-{workers}.pgm"
-            write_pgm(grids["tdcs"], pgm_path)
+            write_pgm(np.where(obs["measurable"], obs["tdcs"], 0.0), pgm_path)
             blobs.append(csv_path.read_bytes())
             blobs.append(pgm_path.read_bytes())
         outputs.append(blobs)

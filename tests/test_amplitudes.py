@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy import integrate
 
 from e2espin.amplitudes import (
     McConfig,
-    amplitude_pair,
     coulomb_wave,
     ee_correlation,
     free_limit_closed_form,
@@ -16,7 +16,8 @@ from e2espin.amplitudes import (
     pwba_amplitudes,
     pwba_grid,
 )
-from e2espin.kinematics import Kinematics, KinematicsError, build_coplanar
+from e2espin.kinematics import HARTREE_EV, Kinematics, KinematicsError, build_coplanar
+from e2espin.scan import amplitude_grids, parse_config
 from e2espin.special import coulomb_norm
 
 
@@ -213,23 +214,28 @@ class TestFreeLimitClosedForm:
             free_limit_closed_form(kin, "both")
 
 
+def _symmetric_point(model, **over):
+    """1x1 amplitude grids at e0 = 2, e_t = -0.5 hartree, theta = +-0.6 rad."""
+    data = {"model": model, "e0_ev": 2.0 * HARTREE_EV, "et_ev": -0.5 * HARTREE_EV, **over}
+    th = math.degrees(0.6)
+    return amplitude_grids(parse_config(data), theta_a_deg=[th], theta_b_deg=[-th])
+
+
 class TestAmplitudePairApi:
     def test_pwba_has_zero_errors(self):
-        kin = build_coplanar(2.0, 0.75, 0.6, -0.6, -0.5)
-        amps, errs = amplitude_pair("pwba", kin)
-        assert errs == (0.0, 0.0)
-        assert amps.t_d == amps.t_e
+        td, te, covs = _symmetric_point("pwba")
+        assert covs is None
+        assert td[0, 0] == te[0, 0]
 
     def test_c3_symmetric_equal_pair(self):
-        kin = build_coplanar(2.0, 0.75, 0.6, -0.6, -0.5)
-        amps, errs = amplitude_pair("c3", kin, McConfig(samples=2000, seed=4))
-        assert amps.t_d == amps.t_e
-        assert errs[0] > 0.0
+        td, te, covs = _symmetric_point("c3", mc={"samples": 2000, "seed": 4})
+        assert td[0, 0] == te[0, 0]
+        assert covs[0, 0, 0, 0] > 0.0
 
     def test_unknown_model(self):
-        kin = build_coplanar(2.0, 0.75, 0.6, -0.6, -0.5)
+        cfg = replace(parse_config({}), model="dwba")
         with pytest.raises(ValueError):
-            amplitude_pair("dwba", kin)
+            amplitude_grids(cfg, theta_a_deg=[30.0], theta_b_deg=[-30.0])
 
     def test_mc_config_validation(self):
         with pytest.raises(ValueError):

@@ -142,22 +142,29 @@ class TestEnergySharing:
         assert est.t_d != est.t_e
 
 
-class TestSingleOrderingApi:
-    def test_orderings_match_joint_estimate(self):
-        from e2espin.amplitudes import c3_tmatrix
-
+class TestRejection:
+    def test_rejected_samples_count_as_zero_weight(self, monkeypatch):
+        # non-finite samples must weigh like zero-valued ones: the same
+        # sums over the same full budget, not a mean over the survivors
         kin = kin_at(45.0, -60.0)
-        cfg = McConfig(samples=4_000, seed=6)
-        est = c3mc.c3_pair(kin, cfg)
-        d = c3_tmatrix(kin, "direct", cfg)
-        e = c3_tmatrix(kin, "exchange", cfg)
-        assert d.value == est.t_d and e.value == est.t_e
-        assert d.stderr_re == est.stderr_d_re
-        assert e.stderr_im == est.stderr_e_im
-        assert d.stderr == pytest.approx(math.hypot(d.stderr_re, d.stderr_im))
+        cfg = McConfig(samples=2_000, seed=6)
+        real = c3mc.kummer_1f1
 
-    def test_invalid_ordering(self):
-        from e2espin.amplitudes import c3_tmatrix
+        def spoiled(fill):
+            def kummer(a, b, z):
+                out = np.array(real(a, b, z), copy=True)
+                for k in range(4):
+                    for s in (17, 1234):
+                        out[k * 2000 + s] = fill
+                return out
+            return kummer
 
-        with pytest.raises(ValueError):
-            c3_tmatrix(kin_at(45.0, -60.0), "swapped", McConfig(samples=2_000))
+        monkeypatch.setattr(c3mc, "kummer_1f1", spoiled(np.nan))
+        rejected = c3mc.c3_pair(kin, cfg)
+        monkeypatch.setattr(c3mc, "kummer_1f1", spoiled(0.0))
+        zeroed = c3mc.c3_pair(kin, cfg)
+        assert rejected.n_rejected == 2
+        assert zeroed.n_rejected == 0
+        assert rejected.t_d == pytest.approx(zeroed.t_d, rel=1e-14)
+        assert rejected.t_e == pytest.approx(zeroed.t_e, rel=1e-14)
+        np.testing.assert_allclose(rejected.cov, zeroed.cov, rtol=1e-14, atol=0.0)

@@ -105,6 +105,26 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "configuration error" in err
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"e0_ev": None}, "e0_ev"),
+            ({"scenario": "custom", "p1": 1, "p2": [0, 0, 0]}, "p1"),
+            ({"mc": {"samples": None}}, "mc.samples"),
+            ({"e0_ev": "abc"}, "e0_ev"),
+            ({"equal_sharing": "false"}, "equal_sharing"),
+            ({"mc": {"debug_free_limit": "false"}}, "mc.debug_free_limit"),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, capsys, tmp_path, data, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        code, _, err = run_cli(
+            capsys, "point", "--config", str(cfg), "--theta-a", "45", "--theta-b", "-45"
+        )
+        assert code == EXIT_CONFIG
+        assert f"configuration error: {key} " in err
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(
             capsys, "scan", "--config", "/nonexistent/cfg.json"

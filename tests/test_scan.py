@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from e2espin.amplitudes import McConfig
+from e2espin.bell import bell_lhs_cross_sections, spin_asymmetry
+from e2espin.entanglement import concurrence_wootters, entanglement_of_formation
+from e2espin.kinematics import build_coplanar, tdcs_basic, tdcs_polarized
 from e2espin.scan import (
     ConfigError,
     ScanConfig,
@@ -13,12 +16,18 @@ from e2espin.scan import (
     load_config,
     observables_from_amplitudes,
     parse_config,
-    records_to_grids,
     resolve_polarizations,
     run_scan,
     write_csv,
     write_pgm,
 )
+from e2espin.spin import AmplitudePair, rho_mixed
+
+
+def _diagonal(thetas):
+    """Mask of theta_B = -theta_A != 0 on a square grid."""
+    ta, tb = thetas[:, None], thetas[None, :]
+    return (ta == -tb) & (ta != 0.0)
 
 
 def coarse_cfg(**over):
@@ -93,6 +102,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="samples"):
             parse_config({"mc": {"samples": 10}})
 
+    def test_angles_beyond_180_rejected(self):
+        # -200 and 160 deg are the same direction
+        with pytest.raises(ConfigError, match="-180 <= theta_min_deg"):
+            parse_config({"theta_min_deg": -200, "theta_max_deg": 200, "step_deg": 50})
+        with pytest.raises(ConfigError, match="-180 <= theta_min_deg"):
+            parse_config({"theta_min_deg": 0, "theta_max_deg": 190, "step_deg": 10})
+        assert len(parse_config({"theta_min_deg": -180, "theta_max_deg": 180}).grid_deg()) == 181
+
     def test_scenario_polarizations(self):
         assert np.allclose(
             resolve_polarizations(parse_config({"scenario": "antiparallel"}))[1], [0, 0, -1]
@@ -125,57 +142,106 @@ class TestLoadConfig:
 class TestRunScanPwba:
     def test_diagonal_concurrence_is_unity(self):
         for scenario in ("perp", "antiparallel", "unpolarized"):
-            records = run_scan(coarse_cfg(scenario=scenario))
-            diag = [
-                r
-                for r in records
-                if r.theta_a_deg == -r.theta_b_deg and r.measurable and r.theta_a_deg != 0.0
-            ]
-            assert diag, "expected measurable diagonal points"
-            assert all(abs(r.concurrence - 1.0) <= 1e-6 for r in diag)
-            assert all(abs(r.eof - 1.0) <= 1e-5 for r in diag)
+            obs, thetas = run_scan(coarse_cfg(scenario=scenario))
+            diag = _diagonal(thetas) & obs["measurable"]
+            assert diag.any(), "expected measurable diagonal points"
+            assert np.all(np.abs(obs["concurrence"][diag] - 1.0) <= 1e-6)
+            assert np.all(np.abs(obs["eof"][diag] - 1.0) <= 1e-5)
 
     def test_one_unpolarized_matches_perp_grids(self):
         cfg = coarse_cfg(scenario="perp")
         td, te, covs = amplitude_grids(cfg)
-        rec_perp = observables_from_amplitudes(cfg, td, te, covs)
-        rec_one = observables_from_amplitudes(
+        obs_perp = observables_from_amplitudes(cfg, td, te, covs)
+        obs_one = observables_from_amplitudes(
             replace(cfg, scenario="one_unpolarized"), td, te, covs
         )
-        for a, b in zip(rec_perp, rec_one):
-            assert abs(a.concurrence - b.concurrence) <= 1e-10
-            assert abs(a.eof - b.eof) <= 1e-10
+        assert np.all(np.abs(obs_perp["concurrence"] - obs_one["concurrence"]) <= 1e-10)
+        assert np.all(np.abs(obs_perp["eof"] - obs_one["eof"]) <= 1e-10)
 
     def test_unpolarized_tdcs_matches_perp(self):
         cfg = coarse_cfg(scenario="perp")
         td, te, covs = amplitude_grids(cfg)
-        rec_perp = observables_from_amplitudes(cfg, td, te, covs)
-        rec_unpol = observables_from_amplitudes(replace(cfg, scenario="unpolarized"), td, te, covs)
-        for a, b in zip(rec_perp, rec_unpol):
-            assert abs(a.tdcs - b.tdcs) <= 1e-12 * max(1.0, abs(a.tdcs))
+        obs_perp = observables_from_amplitudes(cfg, td, te, covs)
+        obs_unpol = observables_from_amplitudes(replace(cfg, scenario="unpolarized"), td, te, covs)
+        a, b = obs_perp["tdcs"], obs_unpol["tdcs"]
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))
 
     def test_unpolarized_concurrence_vanishes_when_triplet_dominates(self):
-        records = run_scan(coarse_cfg(scenario="unpolarized"))
+        obs, _ = run_scan(coarse_cfg(scenario="unpolarized"))
         cfg = coarse_cfg()
         td, te, _ = amplitude_grids(cfg)
         i_s = 0.25 * np.abs(td + te) ** 2
         i_t = 0.75 * np.abs(td - te) ** 2
-        n = td.shape[0]
-        for idx, r in enumerate(records):
-            i, j = divmod(idx, n)
-            if i_t[i, j] >= i_s[i, j]:
-                assert r.concurrence == 0.0
+        assert np.all(obs["concurrence"][i_t >= i_s] == 0.0)
 
     def test_measurable_mask_definition(self):
-        records = run_scan(coarse_cfg())
-        peak = max(r.tdcs for r in records)
-        for r in records:
-            assert r.measurable == (r.tdcs >= 0.05 * peak)
+        obs, _ = run_scan(coarse_cfg())
+        peak = obs["tdcs"].max()
+        assert np.array_equal(obs["measurable"], obs["tdcs"] >= 0.05 * peak)
 
-    def test_record_ordering(self):
-        records = run_scan(coarse_cfg())
-        keys = [(r.theta_a_deg, r.theta_b_deg) for r in records]
+    def test_record_ordering(self, tmp_path):
+        obs, thetas = run_scan(coarse_cfg())
+        path = tmp_path / "records.csv"
+        write_csv(obs, thetas, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        keys = [(float(r[0]), float(r[1])) for r in rows]
         assert keys == sorted(keys)
+        assert len(keys) == len(set(keys)) == len(thetas) ** 2
+
+
+CORE_SCENARIOS = [
+    {"scenario": "perp"},
+    {"scenario": "antiparallel"},
+    {"scenario": "one_unpolarized"},
+    {"scenario": "unpolarized"},
+    {"scenario": "custom", "p1": [0.3, -0.4, 0.5], "p2": [0.0, 0.6, -0.2]},
+]
+
+
+class TestObservablesCore:
+    """The array core against the scalar oracles, point by point."""
+
+    @pytest.mark.parametrize("data", CORE_SCENARIOS, ids=lambda d: d["scenario"])
+    def test_matches_scalar_oracles(self, data):
+        cfg = parse_config(data)
+        rng = np.random.default_rng(31)
+        td = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+        te = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+        td[0, :3] = te[0, :3] = 0.0  # dead points, as at coincident 3C momenta
+        a = rng.standard_normal((7, 6, 4, 4))
+        covs = a @ np.swapaxes(a, -1, -2)
+        obs = observables_from_amplitudes(cfg, td, te, covs)
+
+        for name, value in obs.items():
+            assert value.shape == td.shape, name
+            assert np.all(np.isfinite(value)), name
+            assert np.all(value[0, :3] == 0), name
+        p1, p2 = resolve_polarizations(cfg)
+        e0, eb, et = cfg.energies_hartree()
+        kin = build_coplanar(e0, eb, 0.3, -1.1, et)
+        for i, j in np.ndindex(td.shape):
+            if i == 0 and j < 3:
+                continue
+            amps = AmplitudePair(complex(td[i, j]), complex(te[i, j]))
+            xs = tdcs_basic(amps, kin)
+            for name, want in (
+                ("tdcs", tdcs_polarized(amps, float(p1 @ p2), kin)),
+                ("i_par", xs.i_par),
+                ("i_anti", xs.i_anti),
+                ("i_anti_direct", xs.i_anti_d),
+                ("i_anti_exchange", xs.i_anti_e),
+                ("i_singlet", xs.i_s),
+                ("i_triplet", xs.i_t),
+            ):
+                assert obs[name][i, j] == pytest.approx(want, rel=1e-10, abs=0.0), name
+            woot = concurrence_wootters(rho_mixed(amps, p1, p2))
+            for name, want in (
+                ("bell_lhs", bell_lhs_cross_sections(xs.i_anti, xs.i_par, p1, p2)),
+                ("asymmetry", spin_asymmetry(xs.i_anti, xs.i_par)),
+                ("concurrence", woot),
+                ("eof", entanglement_of_formation(woot)),
+            ):
+                assert abs(obs[name][i, j] - want) <= 1e-10, name
 
 
 class TestRunScanC3:
@@ -183,53 +249,51 @@ class TestRunScanC3:
         cfg = parse_config(
             {"model": "c3", "step_deg": 90.0, "mc": {"samples": 2000, "seed": 3}}
         )
-        records = run_scan(cfg)
-        assert len(records) == 25
-        assert all(r.tdcs_stderr is not None and r.tdcs_stderr >= 0.0 for r in records)
-        diag = [r for r in records if r.theta_a_deg == -r.theta_b_deg and r.theta_a_deg != 0]
+        obs, thetas = run_scan(cfg)
+        assert obs["tdcs"].size == 25
+        assert np.all(obs["tdcs_stderr"] >= 0.0)
         # exchange symmetry of the sampler makes the diagonal exactly singlet
-        for r in diag:
-            if r.tdcs > 0:
-                assert abs(r.concurrence - 1.0) <= 1e-12
+        diag = _diagonal(thetas) & (obs["tdcs"] > 0)
+        assert np.all(np.abs(obs["concurrence"][diag] - 1.0) <= 1e-12)
 
     def test_worker_count_does_not_change_results(self):
         cfg = parse_config(
             {"model": "c3", "step_deg": 90.0, "mc": {"samples": 2000, "seed": 5}}
         )
-        a = run_scan(cfg, workers=1)
-        b = run_scan(cfg, workers=3)
-        assert a == b
+        a, _ = run_scan(cfg, workers=1)
+        b, _ = run_scan(cfg, workers=3)
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 class TestCsv:
     def test_header_and_round_trip(self, tmp_path):
-        records = run_scan(coarse_cfg(scenario="antiparallel"))
+        obs, thetas = run_scan(coarse_cfg(scenario="antiparallel"))
         path = tmp_path / "records.csv"
-        write_csv(records, path)
+        write_csv(obs, thetas, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "theta_a_deg,theta_b_deg,tdcs,concurrence,eof,bell_lhs,asymmetry,measurable"
-        assert len(lines) == len(records) + 1
+        assert len(lines) == obs["tdcs"].size + 1
         row = lines[1].split(",")
-        r = records[0]
-        assert float(row[0]) == r.theta_a_deg
-        assert float(row[2]) == r.tdcs  # shortest round-trip representation
+        assert float(row[0]) == thetas[0]
+        assert float(row[2]) == obs["tdcs"][0, 0]  # shortest round-trip representation
         assert row[7] in ("true", "false")
 
     def test_stderr_column_for_c3(self, tmp_path):
         cfg = parse_config({"model": "c3", "step_deg": 180.0, "mc": {"samples": 1000}})
-        records = run_scan(cfg)
+        obs, thetas = run_scan(cfg)
         path = tmp_path / "c3.csv"
-        write_csv(records, path)
+        write_csv(obs, thetas, path)
         assert path.read_text().splitlines()[0].endswith(",tdcs_stderr")
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv([], tmp_path / "x.csv")
+            write_csv({"tdcs": np.zeros((0, 0))}, np.zeros(0), tmp_path / "x.csv")
 
     def test_io_error_carries_path(self, tmp_path):
-        records = run_scan(coarse_cfg())
+        obs, thetas = run_scan(coarse_cfg())
         with pytest.raises(OSError, match="no/such"):
-            write_csv(records, tmp_path / "no/such/dir/records.csv")
+            write_csv(obs, thetas, tmp_path / "no/such/dir/records.csv")
 
 
 class TestPgm:
@@ -255,14 +319,13 @@ class TestPgm:
         assert vals == ["0"] * 6
 
     def test_masked_points_are_zero(self, tmp_path):
-        records = run_scan(coarse_cfg())
-        grids = records_to_grids(records)
+        obs, _ = run_scan(coarse_cfg())
         path = tmp_path / "t.pgm"
-        write_pgm(grids["tdcs"], path)
+        write_pgm(np.where(obs["measurable"], obs["tdcs"], 0.0), path)
         tokens = path.read_text().split("\n")
-        n = grids["tdcs"].shape[0]
+        n = obs["tdcs"].shape[0]
         pix = np.array(tokens[4 : 4 + n * n], dtype=int).reshape(n, n)
-        assert pix[~grids["measurable"]].max(initial=0) == 0
+        assert pix[~obs["measurable"]].max(initial=0) == 0
         assert pix.max() == 255
 
 
@@ -273,10 +336,10 @@ class TestDeterminism:
         )
         outputs = []
         for workers in (1, 3):
-            records = run_scan(cfg, workers=workers)
+            obs, thetas = run_scan(cfg, workers=workers)
             csv_path = tmp_path / f"w{workers}.csv"
             pgm_path = tmp_path / f"w{workers}.pgm"
-            write_csv(records, csv_path)
-            write_pgm(records_to_grids(records)["tdcs"], pgm_path)
+            write_csv(obs, thetas, csv_path)
+            write_pgm(np.where(obs["measurable"], obs["tdcs"], 0.0), pgm_path)
             outputs.append((csv_path.read_bytes(), pgm_path.read_bytes()))
         assert outputs[0] == outputs[1]
