@@ -56,7 +56,7 @@ class McConfig:
     the integral exactly computable for cross-checks.
     """
 
-    samples: int = 10_000_000
+    samples: int = 200_000
     seed: int = 0
     lambda1: float = 1.0
     r_max: float = 14.0

@@ -95,11 +95,6 @@ class PairEstimate:
     def stderr_e_im(self) -> float:
         return math.sqrt(max(0.0, float(self.cov[3, 3])))
 
-    def tdcs_variance(self, grad: np.ndarray) -> float:
-        """Delta-method variance of a scalar with gradient ``grad``."""
-        g = np.asarray(grad, dtype=float)
-        return float(g @ self.cov @ g)
-
 
 def _philox_key(seed: int, point_key: int, block: int) -> np.ndarray:
     word = ((int(point_key) << 20) | int(block)) & 0xFFFFFFFFFFFFFFFF

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,9 +34,9 @@ from .scan import (
     ConfigError,
     ScanConfig,
     amplitude_grids,
-    load_config,
     observables_from_amplitudes,
     parse_config,
+    read_config,
     resolve_polarizations,
     run_scan,
     write_csv,
@@ -63,16 +62,17 @@ def _json_default(obj):
 
 
 def _load_cfg(args) -> ScanConfig:
-    cfg = load_config(args.config) if args.config else parse_config({})
-    if getattr(args, "model", None):
-        cfg = replace(cfg, model=args.model)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, mc=replace(cfg.mc, seed=args.seed))
-    if getattr(args, "output_dir", None):
-        cfg = replace(cfg, output_dir=args.output_dir)
-    if cfg.model == "c3" and cfg.mc.samples < 1000:
-        raise ConfigError("mc.samples must be >= 1000 for the c3 model")
-    return cfg
+    """The config file's mapping with the command-line overrides, validated once."""
+    data = read_config(args.config) if args.config else {}
+    if isinstance(data, dict):  # parse_config rejects anything else
+        data = dict(data)
+        if args.model:
+            data["model"] = args.model
+        if getattr(args, "output_dir", None):
+            data["output_dir"] = args.output_dir
+        if args.seed is not None and isinstance(data.get("mc", {}), dict):
+            data["mc"] = {**data.get("mc", {}), "seed": args.seed}
+    return parse_config(data)
 
 
 def _point_grids(cfg: ScanConfig, args):
@@ -153,6 +153,8 @@ def cmd_point(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     obs, thetas = run_scan(cfg, workers=args.workers)
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_csv(obs, thetas, os.path.join(cfg.output_dir, "records.csv"))

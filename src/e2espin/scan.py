@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from . import c3mc
 from .amplitudes import McConfig, pwba_grid
 from .entanglement import concurrence_closed_form, entanglement_of_formation, wootters_batch
 from .kinematics import HARTREE_EV, build_coplanar, tdcs_prefactor
-from .spin import _branch_kernels
+from .spin import _assemble_pair_density, _branch_kernels
 
 __all__ = [
     "ConfigError",
@@ -54,6 +54,7 @@ __all__ = [
     "SCENARIOS",
     "load_config",
     "parse_config",
+    "read_config",
     "resolve_polarizations",
     "amplitude_grids",
     "observables_from_amplitudes",
@@ -64,10 +65,6 @@ __all__ = [
 
 SCENARIOS = ("perp", "antiparallel", "one_unpolarized", "unpolarized", "custom")
 
-# per-point samples used when a scan config does not set mc.samples:
-# full-budget single points are fine at 1e7, but a 181x181 grid is not
-_SCAN_MC_SAMPLES = 200_000
-
 
 class ConfigError(ValueError):
     """A scan configuration file is invalid."""
@@ -75,9 +72,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """A validated configuration; ``eb_ev`` None means equal energy sharing."""
+
     model: str = "pwba"
     e0_ev: float = 54.4
-    equal_sharing: bool = True
     eb_ev: float | None = None
     et_ev: float = -13.605693
     scenario: str = "unpolarized"
@@ -87,7 +85,7 @@ class ScanConfig:
     theta_max_deg: float = 180.0
     step_deg: float = 2.0
     threshold_frac: float = 0.05
-    mc: McConfig = field(default_factory=lambda: McConfig(samples=_SCAN_MC_SAMPLES))
+    mc: McConfig = McConfig()
     output_dir: str = "."
 
     def energies_hartree(self) -> tuple[float, float, float]:
@@ -105,12 +103,6 @@ class ScanConfig:
         return self.theta_min_deg + self.step_deg * np.arange(n + 1)
 
 
-_TOP_KEYS = {
-    "model", "e0_ev", "equal_sharing", "eb_ev", "et_ev", "scenario", "p1", "p2",
-    "theta_min_deg", "theta_max_deg", "step_deg", "threshold_frac", "mc", "output_dir",
-}
-
-
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
@@ -124,8 +116,16 @@ def _convert(key: str, value, conv):
         raise ConfigError(f"{key} has an invalid value {value!r}: {exc}") from exc
 
 
-def _vector(value) -> tuple:
-    return tuple(float(x) for x in value)
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("expected a number, not a boolean")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError("expected an integer")
+    return int(value)
 
 
 def _flag(value) -> bool:
@@ -134,57 +134,50 @@ def _flag(value) -> bool:
     return value
 
 
-_MC_TYPES = {"samples": int, "seed": int, "lambda1": float, "r_max": float,
-             "debug_free_limit": _flag}
+def _vector(value) -> tuple:
+    return tuple(_real(x) for x in value)
+
+
+def _nullable(conv):
+    return lambda value: None if value is None else conv(value)
+
+
+# the settable keys and their converters (a nested table for a nested
+# object); the defaults live on the dataclass fields
+_CONVERTERS = {
+    "model": str, "e0_ev": _real, "eb_ev": _nullable(_real), "et_ev": _real,
+    "scenario": str, "p1": _nullable(_vector), "p2": _nullable(_vector),
+    "theta_min_deg": _real, "theta_max_deg": _real, "step_deg": _real,
+    "threshold_frac": _real, "output_dir": str,
+    "mc": {"samples": _integer, "seed": _integer, "lambda1": _real, "r_max": _real,
+           "debug_free_limit": _flag},
+}
+
+
+def _converted(data: dict, converters: dict, prefix: str = "") -> dict:
+    """The keys ``data`` gives, each passed through its converter."""
+    _require(isinstance(data, dict), f"{prefix[:-1] or 'configuration'} must be a JSON object")
+    unknown = set(data) - set(converters)
+    _require(not unknown, f"unknown configuration key(s): "
+                          f"{', '.join(prefix + key for key in sorted(unknown))}")
+    return {key: _converted(value, converters[key], f"{prefix}{key}.")
+            if isinstance(converters[key], dict) else _convert(prefix + key, value, converters[key])
+            for key, value in data.items()}
 
 
 def parse_config(data: dict) -> ScanConfig:
-    """Validate a configuration mapping and apply defaults."""
-    _require(isinstance(data, dict), "configuration must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    _require(not unknown, f"unknown configuration key(s): {', '.join(sorted(unknown))}")
-
-    mc_data = data.get("mc", {})
-    _require(isinstance(mc_data, dict), "mc must be an object")
-    unknown = set(mc_data) - set(_MC_TYPES)
-    _require(not unknown, f"unknown mc key(s): {', '.join(sorted(unknown))}")
-    mc_values = {key: _convert(f"mc.{key}", value, _MC_TYPES[key])
-                 for key, value in mc_data.items()}
+    """Validate a configuration mapping; absent keys take the field defaults."""
+    values = _converted(data, _CONVERTERS)
     try:
-        mc = McConfig(**{"samples": _SCAN_MC_SAMPLES, **mc_values}).validated()
+        values["mc"] = McConfig(**values.get("mc", {})).validated()
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
-
-    def number(key, default):
-        return _convert(key, data.get(key, default), float)
-
-    def optional(key, conv):
-        return None if data.get(key) is None else _convert(key, data[key], conv)
-
-    cfg = ScanConfig(
-        model=data.get("model", "pwba"),
-        e0_ev=number("e0_ev", 54.4),
-        equal_sharing=_convert("equal_sharing", data.get("equal_sharing", "eb_ev" not in data),
-                               _flag),
-        eb_ev=optional("eb_ev", float),
-        et_ev=number("et_ev", -13.605693),
-        scenario=data.get("scenario", "unpolarized"),
-        p1=optional("p1", _vector),
-        p2=optional("p2", _vector),
-        theta_min_deg=number("theta_min_deg", -180.0),
-        theta_max_deg=number("theta_max_deg", 180.0),
-        step_deg=number("step_deg", 2.0),
-        threshold_frac=number("threshold_frac", 0.05),
-        mc=mc,
-        output_dir=str(data.get("output_dir", ".")),
-    )
+    cfg = ScanConfig(**values)
 
     _require(cfg.model in ("pwba", "c3"), f"model must be 'pwba' or 'c3', got {cfg.model!r}")
     _require(cfg.e0_ev > 0.0, f"e0_ev must be positive, got {cfg.e0_ev}")
     _require(cfg.et_ev < 0.0, f"et_ev must be negative (bound state), got {cfg.et_ev}")
     if cfg.eb_ev is not None:
-        _require(not cfg.equal_sharing,
-                 "eb_ev fixes the energy sharing: set equal_sharing to false or omit it")
         _require(cfg.eb_ev > 0.0, f"eb_ev must be positive, got {cfg.eb_ev}")
     e0, eb, et = cfg.energies_hartree()
     _require(e0 + et - eb > 0.0, "closed channel: e0 + et - eb must be positive")
@@ -213,8 +206,8 @@ def parse_config(data: dict) -> ScanConfig:
     return cfg
 
 
-def load_config(path) -> ScanConfig:
-    """Load and validate a JSON scan configuration file."""
+def read_config(path):
+    """The JSON value of a configuration file, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -224,7 +217,12 @@ def load_config(path) -> ScanConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_config(data)
+    return data
+
+
+def load_config(path) -> ScanConfig:
+    """Load and validate a JSON scan configuration file."""
+    return parse_config(read_config(path))
 
 
 def resolve_polarizations(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -265,17 +263,10 @@ def _wootters_grid(td, te, p1, p2) -> np.ndarray:
     """Pointwise Wootters concurrence of the averaged pair density matrix."""
     k1, k2, k3 = _branch_kernels(p1, p2)
     alive = np.abs(td) ** 2 + np.abs(te) ** 2 > 0.0
-    tdv = td[alive]
-    tev = te[alive]
-    rhos = (
-        (np.abs(tdv) ** 2)[:, None, None] * k1
-        + (np.abs(tev) ** 2)[:, None, None] * k2
-        - (tdv * np.conj(tev))[:, None, None] * k3
-        - (np.conj(tdv) * tev)[:, None, None] * k3.conj().T
-    )
+    rhos = _assemble_pair_density(td[alive], te[alive], k1, k2, k3)
     tr = np.trace(rhos, axis1=1, axis2=2).real
     ok = tr > 0.0
-    c = np.zeros(len(tdv))
+    c = np.zeros(len(rhos))
     c[ok] = wootters_batch(rhos[ok] / tr[ok, None, None])
     out = np.zeros(td.shape)
     out[alive] = c

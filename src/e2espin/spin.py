@@ -214,12 +214,21 @@ def _branch_kernels(p1, p2):
     return k1, k2, k3
 
 
-def _assemble_pair_density(td: complex, te: complex, k1, k2, k3) -> np.ndarray:
+def _assemble_pair_density(td, te, k1, k2, k3) -> np.ndarray:
+    """Unnormalized averaged pair matrix from the ``_branch_kernels``.
+
+    Amplitude arrays give matrices of shape ``td.shape + (4, 4)``.  Real
+    arithmetic (numpy's complex multiply may fuse) keeps Python's bits.
+    """
+    td = np.asarray(td, dtype=complex)[..., None, None]
+    te = np.asarray(te, dtype=complex)[..., None, None]
+    dr, di, er, ei = td.real, td.imag, te.real, te.imag
+    cross = (dr * er + di * ei) + 1j * (di * er - dr * ei)  # t_d t_e*
     return (
-        (td * td.conjugate()).real * k1
-        + (te * te.conjugate()).real * k2
-        - (td * te.conjugate()) * k3
-        - (td.conjugate() * te) * k3.conj().T
+        (dr * dr + di * di) * k1
+        + (er * er + ei * ei) * k2
+        - cross * k3
+        - cross.conj() * k3.conj().T
     )
 
 

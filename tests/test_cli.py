@@ -112,8 +112,12 @@ class TestExitCodes:
             ({"scenario": "custom", "p1": 1, "p2": [0, 0, 0]}, "p1"),
             ({"mc": {"samples": None}}, "mc.samples"),
             ({"e0_ev": "abc"}, "e0_ev"),
-            ({"equal_sharing": "false"}, "equal_sharing"),
+            ({"mc": {"samples": 2000.9}}, "mc.samples"),
             ({"mc": {"debug_free_limit": "false"}}, "mc.debug_free_limit"),
+            ({"mc": {"seed": 1.5}}, "mc.seed"),
+            ({"threshold_frac": True}, "threshold_frac"),
+            ({"mc": {"r_max": True}}, "mc.r_max"),
+            ({"mc": {"seed": True}}, "mc.seed"),
         ],
     )
     def test_malformed_value_is_config_error(self, capsys, tmp_path, data, key):
@@ -125,6 +129,27 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert f"configuration error: {key} " in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("point", "--model", "c3", "--theta-a", "45", "--theta-b", "-45"),
+            ("bell-sim", "--theta-a", "45", "--theta-b", "-45"),
+        ],
+    )
+    def test_negative_seed_override_is_config_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == EXIT_CONFIG
+        assert "configuration error: mc: mc seed must be nonnegative" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_config_error(self, capsys, tmp_path, workers):
+        code, _, err = run_cli(
+            capsys, "scan", "--output-dir", str(tmp_path), "--workers", workers
+        )
+        assert code == EXIT_CONFIG
+        assert "--workers" in err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(
             capsys, "scan", "--config", "/nonexistent/cfg.json"
@@ -133,7 +158,7 @@ class TestExitCodes:
 
     def test_closed_channel_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "closed.json"
-        cfg.write_text(json.dumps({"eb_ev": 42.0, "equal_sharing": False}))
+        cfg.write_text(json.dumps({"eb_ev": 42.0}))
         code, _, _ = run_cli(
             capsys, "point", "--config", str(cfg), "--theta-a", "10", "--theta-b", "20"
         )

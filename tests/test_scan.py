@@ -1,6 +1,8 @@
 import json
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,9 +45,19 @@ class TestConfigParsing:
         assert cfg.e0_ev == 54.4
         assert cfg.scenario == "unpolarized"
         assert cfg.step_deg == 2.0
-        assert cfg.equal_sharing
+        assert cfg.eb_ev is None  # equal sharing
         assert cfg.threshold_frac == 0.05
         assert len(cfg.grid_deg()) == 181
+        assert cfg.mc == McConfig()
+
+    def test_readme_block_documents_every_key_and_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+        data = json.loads(re.sub(r"//.*", "", block))
+        assert set(data) == {f.name for f in fields(ScanConfig)}
+        assert set(data["mc"]) == {f.name for f in fields(McConfig)}
+        assert parse_config(data) == parse_config({})
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="tdcs_scale"):
@@ -87,7 +99,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="equal_sharing"):
             parse_config({"eb_ev": 20.0, "equal_sharing": True})
         cfg = parse_config({"eb_ev": 20.0})
-        assert not cfg.equal_sharing
+        assert cfg.eb_ev == 20.0
         assert cfg.energies_hartree()[1] == pytest.approx(20.0 / 27.211386245988)
 
     def test_closed_channel(self):
