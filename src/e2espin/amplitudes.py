@@ -67,6 +67,8 @@ class McConfig:
             raise ValueError(f"mc samples must be >= 1000, got {self.samples}")
         if int(self.seed) < 0:
             raise ValueError(f"mc seed must be nonnegative, got {self.seed}")
+        if int(self.seed) >= 2**64:  # the Philox key holds 64 bits of seed
+            raise ValueError(f"mc seed must be below 2**64, got {self.seed}")
         if not self.lambda1 > 0.0:
             raise ValueError(f"mc lambda1 must be positive, got {self.lambda1}")
         if not self.r_max > 0.0:

@@ -82,12 +82,11 @@ def outcome_probabilities(rho, a, b) -> np.ndarray:
 
 
 def _philox_stream(seed) -> np.random.Generator:
-    if isinstance(seed, tuple):
-        key = np.array([int(seed[0]) & 0xFFFFFFFFFFFFFFFF,
-                        int(seed[1]) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    else:
-        key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    words = [int(w) for w in seed] if isinstance(seed, tuple) else [int(seed), 0]
+    # a masked word would alias another seed's stream
+    if not all(0 <= w < 2**64 for w in words):
+        raise ValueError(f"seed words must lie in [0, 2**64), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=np.array(words, dtype=np.uint64)))
 
 
 def sample_coincidences(rho, a, b, n: int, seed) -> CoincidenceCounts:

@@ -24,9 +24,10 @@ Both radial integrals are truncated at r_max.  The r2 tail is
 exponentially negligible.  The r1 integrand is multiplied by a cos^2
 taper between r_max/2 and r_max instead of being cut sharply: a sharp
 cutoff against the oscillatory 1/r1^2 tail leaves a boundary term of
-order 1/r_max (several percent), while the smooth window pushes the
-truncation error below the statistical resolution of any practical
-sample budget and damps the tail variance as well.
+order 1/r_max (several percent), while the smooth window removes that
+term and damps the tail variance as well.  It does not bound the
+truncation itself: with a 5 eV slow electron at 54.4 eV, t_d moves by
+about 14% (5 standard errors) between r_max = 14 and r_max = 20.
 
 Mirror symmetrization: every sample is paired with its reflection
 through the plane spanned by the y axis and the bisector of the two
@@ -36,6 +37,20 @@ with mirrored momentum sets.  In symmetric kinematics the mirrored
 direct momentum set coincides bitwise with the exchange set, making
 t_d - t_e vanish identically, as parity requires for the even 1s
 target.  Elsewhere the pairing simply reduces the variance.
+
+Each block of samples is drawn, weighed and reduced.  ``_draw`` gives
+the coordinates, their radii and the density p1 p2.  The kernel from
+``_kernel`` weighs them with a table of one row per mirror variant
+(direct, mirrored direct, exchange, mirrored exchange): the beam, the
+conjugated Coulomb waves at r1 and at r2, and the e-e relative
+momentum.  ``c3_pair`` counts non-finite weights as zeros and sums the
+blocks with ``math.fsum``.
+
+Every wave with the same xi goes into one ``kummer_1f1`` call, r1-waves
+first, each in variant-major order.  Such a batch is never split: the
+series stops when its whole batch has converged, so near |z| = 21 a
+value depends on its batch (by up to ~1e-8 relative), and exact
+t_d == t_e in symmetric kinematics needs both waves in one batch.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, point_key, block index), so the estimate is a pure function of
@@ -61,7 +76,9 @@ BLOCK_SIZE = 65536
 _DRAWS = 10  # uniforms consumed per sample; fixed for stream stability
 _LAMBDA2 = 1.0
 _MAX_REJECT_FRACTION = 1e-3
+_TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
+_BOUND_NORM = math.sqrt(1.0 / math.pi)  # hydrogen 1s, Z = 1
 
 
 @dataclass(frozen=True)
@@ -123,10 +140,6 @@ def _mirror_normal(k_a: np.ndarray, k_b: np.ndarray) -> np.ndarray:
     return n / math.sqrt(float(n @ n))
 
 
-def _reflect(v: np.ndarray, n: np.ndarray) -> np.ndarray:
-    return v - (2.0 * float(v @ n)) * n
-
-
 def _spherical(rmag, cos_t, phi):
     sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
     return np.stack(
@@ -134,149 +147,134 @@ def _spherical(rmag, cos_t, phi):
     )
 
 
-def c3_pair(kin: Kinematics, cfg: McConfig, point_key: int = 0) -> PairEstimate:
-    """Estimate both 3C amplitudes on one mirror-symmetrized sample set."""
-    cfg = cfg.validated()
-    n_total = int(cfg.samples)
+def _draw(cfg: McConfig, point_key: int, block: int, n: int):
+    """The coordinates of one block of samples and their sampling density.
+
+    Maps the block's Philox uniforms to (r1, |r1|, r2, |r2|, p1(r1) p2(r2)).
+    """
     lam1 = float(cfg.lambda1)
     r_max = float(cfg.r_max)
-    z_eff = 0.0 if cfg.debug_free_limit else 1.0
+    gen = np.random.Generator(np.random.Philox(key=_philox_key(cfg.seed, point_key, block)))
+    u = gen.random((n, _DRAWS))
+
+    r2mag = -(np.log1p(-u[:, 0]) + np.log1p(-u[:, 1]) + np.log1p(-u[:, 2])) / _LAMBDA2
+    r2 = _spherical(r2mag, 2.0 * u[:, 3] - 1.0, _TWO_PI * u[:, 4])
+    use_uni = u[:, 5] < 0.5
+    r_exp = -(np.log1p(-u[:, 6]) + np.log1p(-u[:, 7])) / lam1
+    r1mag = np.where(use_uni, u[:, 6] * r_max, r_exp)
+    r1 = _spherical(r1mag, 2.0 * u[:, 8] - 1.0, _TWO_PI * u[:, 9])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1 = 0.5 * (lam1 * lam1 / _FOUR_PI) * np.exp(-lam1 * r1mag) / r1mag + 0.5 / (
+            _FOUR_PI * r_max * r1mag * r1mag
+        )
+        p2 = (_LAMBDA2**3 / (8.0 * math.pi)) * np.exp(-_LAMBDA2 * r2mag)
+        return r1, r1mag, r2, r2mag, p1 * p2
+
+
+def _kernel(kin: Kinematics, cfg: McConfig):
+    """The weight kernel of the mirror-symmetrized 3C integrand at ``kin``.
+
+    Returns ``weigh(r1, r1mag, r2, r2mag, density)``: the (2, n) weights of
+    (t_d, t_e), zero outside the r_max ball.  It takes the radii and the
+    density from the sampler; recomputing them would change bits.
+    """
+    r_max = float(cfg.r_max)
+    z_eff = 0.0 if cfg.debug_free_limit else 1.0  # Z = 0 leaves plane waves
     use_corr = not cfg.debug_free_limit
-
-    k_a, k_b, k0 = kin.k_a, kin.k_b, kin.k0
-    if use_corr and float((k_a - k_b) @ (k_a - k_b)) == 0.0:
-        # coincident outgoing momenta: the repulsive correlation factor
-        # suppresses the state completely and the T matrix vanishes
-        return PairEstimate(0.0 + 0.0j, 0.0 + 0.0j, np.zeros((4, 4)), n_total, 0)
-
+    k0, k_a, k_b = kin.k0, kin.k_a, kin.k_b
     n_hat = _mirror_normal(k_a, k_b)
-    mk_a = _reflect(k_a, n_hat)
-    mk_b = _reflect(k_b, n_hat)
-    mk0 = _reflect(k0, n_hat)
+    mk0, mk_a, mk_b = (k - (2.0 * float(k @ n_hat)) * n_hat for k in (k0, k_a, k_b))
 
     kmag_a = math.sqrt(float(k_a @ k_a))
     kmag_b = math.sqrt(float(k_b @ k_b))
-    # relative-momentum magnitude shared by all four variants (reflection
-    # and overall sign leave it unchanged)
-    kab_d = 0.5 * (k_a - k_b)
-    kab_dm = 0.5 * (mk_a - mk_b)
-    kab_e = 0.5 * (k_b - k_a)
-    kab_em = 0.5 * (mk_b - mk_a)
-    kab_mag = math.sqrt(float(kab_d @ kab_d))
+    # one row per mirror variant: the beam, the conjugated waves at r1 and
+    # at r2 as (momentum, |k|), and the e-e relative momentum; a mirror
+    # image keeps the |k| of its source
+    table = (
+        (k0, (k_a, kmag_a), (k_b, kmag_b), 0.5 * (k_a - k_b)),  # direct
+        (mk0, (mk_a, kmag_a), (mk_b, kmag_b), 0.5 * (mk_a - mk_b)),  # mirrored direct
+        (k0, (k_b, kmag_b), (k_a, kmag_a), 0.5 * (k_b - k_a)),  # exchange
+        (mk0, (mk_b, kmag_b), (mk_a, kmag_a), 0.5 * (mk_b - mk_a)),  # mirrored exchange
+    )
+    _, at_r1, at_r2, kabs = zip(*table)
+    # |k| by (position, variant); xi = -Z/|k|, so equal |k| means equal xi
+    kmags = np.array([[kmag for _, kmag in col] for col in (at_r1, at_r2)])
 
-    xi_a = 0.0 if z_eff == 0.0 else -z_eff / kmag_a
-    xi_b = 0.0 if z_eff == 0.0 else -z_eff / kmag_b
-    # conjugated normalization factors; one overall scalar per variant
-    scale = np.conj(coulomb_norm(xi_a)) * np.conj(coulomb_norm(xi_b))
-    a_corr = 0.0j
+    # conjugated normalization factors; one overall scalar for all rows
+    scale = np.conj(coulomb_norm(-z_eff / kmag_a)) * np.conj(coulomb_norm(-z_eff / kmag_b))
     if use_corr:
+        # reflection and overall sign leave |kab| the same in every row
+        kab_mag = math.sqrt(float(kabs[0] @ kabs[0]))
         xi_ab = 0.5 / kab_mag
         scale *= np.conj(coulomb_norm(xi_ab))
-        a_corr = complex(0.0, -xi_ab)
-    bound_norm = math.sqrt(1.0 / math.pi)  # hydrogen 1s, Z = 1
-    a_wave_a = complex(0.0, -xi_a)
-    a_wave_b = complex(0.0, -xi_b)
-    same_xi = xi_a == xi_b
 
-    s1_blocks = []
-    s2_blocks = []
-    n_rej_blocks = []
-    two_pi = 2.0 * math.pi
-    n_blocks = (n_total + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for blk in range(n_blocks):
-        n = min(BLOCK_SIZE, n_total - blk * BLOCK_SIZE)
-        gen = np.random.Generator(np.random.Philox(key=_philox_key(cfg.seed, point_key, blk)))
-        u = gen.random((n, _DRAWS))
-
-        r2mag = -(np.log1p(-u[:, 0]) + np.log1p(-u[:, 1]) + np.log1p(-u[:, 2])) / _LAMBDA2
-        r2 = _spherical(r2mag, 2.0 * u[:, 3] - 1.0, two_pi * u[:, 4])
-        use_uni = u[:, 5] < 0.5
-        r_exp = -(np.log1p(-u[:, 6]) + np.log1p(-u[:, 7])) / lam1
-        r1mag = np.where(use_uni, u[:, 6] * r_max, r_exp)
-        r1 = _spherical(r1mag, 2.0 * u[:, 8] - 1.0, two_pi * u[:, 9])
-
+    def weigh(r1, r1mag, r2, r2mag, density):
+        n = len(r1mag)
         with np.errstate(divide="ignore", invalid="ignore"):
-            p1 = 0.5 * (lam1 * lam1 / _FOUR_PI) * np.exp(-lam1 * r1mag) / r1mag + 0.5 / (
-                _FOUR_PI * r_max * r1mag * r1mag
-            )
-            p2 = (_LAMBDA2**3 / (8.0 * math.pi)) * np.exp(-_LAMBDA2 * r2mag)
-
             r12 = r1 - r2
             r12mag = np.sqrt(np.sum(r12 * r12, axis=1))
             pot = 1.0 / r12mag - 1.0 / r1mag
             # smooth radial taper of the projectile coordinate
             ramp = np.clip((r1mag / r_max - 0.5) * 2.0, 0.0, 1.0)
             window = np.cos(0.5 * math.pi * ramp) ** 2
-            common = (scale * bound_norm) * (pot * window * np.exp(-r2mag)) + 0.0j
+            common = (scale * _BOUND_NORM) * (pot * window * np.exp(-r2mag)) + 0.0j
 
             # plane-wave phases: beam at r1 and conjugated waves at r1, r2
-            da1 = r1 @ k_a
-            dma1 = r1 @ mk_a
-            db1 = r1 @ k_b
-            dmb1 = r1 @ mk_b
-            da2 = r2 @ k_a
-            dma2 = r2 @ mk_a
-            db2 = r2 @ k_b
-            dmb2 = r2 @ mk_b
-            d01 = r1 @ k0
-            dm01 = r1 @ mk0
-            ph = np.exp(
-                1j
-                * np.concatenate(
-                    [d01 - da1 - db2, dm01 - dma1 - dmb2, d01 - db1 - da2, dm01 - dmb1 - dma2]
-                )
-            )
-            g = ph.reshape(4, n)
-
+            g = np.exp(1j * np.stack([r1 @ k - r1 @ k1 - r2 @ k2
+                                      for k, (k1, *_), (k2, *_), _ in table]))
             if z_eff != 0.0:
-                ra1 = kmag_a * r1mag
-                ra2 = kmag_a * r2mag
-                rb1 = kmag_b * r1mag
-                rb2 = kmag_b * r2mag
-                args_a = np.concatenate([ra1 + da1, ra1 + dma1, ra2 + da2, ra2 + dma2])
-                args_b = np.concatenate([rb2 + db2, rb2 + dmb2, rb1 + db1, rb1 + dmb1])
-                if same_xi:
-                    f = kummer_1f1(a_wave_a, 1.0, 1j * np.concatenate([args_a, args_b]))
-                    fa, fb = f[: 4 * n].reshape(4, n), f[4 * n :].reshape(4, n)
-                else:
-                    fa = kummer_1f1(a_wave_a, 1.0, 1j * args_a).reshape(4, n)
-                    fb = kummer_1f1(a_wave_b, 1.0, 1j * args_b).reshape(4, n)
-                # row order: (d, dm, e, em); the exchange variants swap
-                # which electron sees which Coulomb wave.  Keep the r1-wave
-                # as the left factor in every product: complex multiply is
-                # not bitwise commutative under FMA, and exact exchange
-                # symmetry needs identical operand order in paired variants.
-                g = g * np.stack([fa[0] * fb[0], fa[1] * fb[1], fb[2] * fa[2], fb[3] * fa[3]])
-
+                # 1F1 arguments |k||r| + k.r by (position, variant, sample);
+                # one flat kummer_1f1 call per xi (see the module docstring)
+                x = np.stack([[kmag * rmag + r @ k for k, kmag in col]
+                              for r, rmag, col in ((r1, r1mag, at_r1), (r2, r2mag, at_r2))])
+                f = np.empty(x.shape, dtype=complex)
+                for kmag in dict.fromkeys(kmags.flat):
+                    batch = kmags == kmag
+                    z = 1j * x[batch].ravel()
+                    f[batch] = kummer_1f1(complex(0.0, z_eff / kmag), 1.0, z).reshape(-1, n)
+                # the r1-wave stays the left factor: complex multiply is not
+                # bitwise commutative under FMA, and exact exchange symmetry
+                # needs the same operand order in paired variants
+                g = g * (f[0] * f[1])
             if use_corr:
                 rc = kab_mag * r12mag
-                args_c = np.concatenate(
-                    [rc + r12 @ kab_d, rc + r12 @ kab_dm, rc + r12 @ kab_e, rc + r12 @ kab_em]
-                )
-                g = g * kummer_1f1(a_corr, 1.0, 1j * args_c).reshape(4, n)
+                args_c = np.concatenate([rc + r12 @ kab for kab in kabs])
+                g = g * kummer_1f1(complex(0.0, -xi_ab), 1.0, 1j * args_c).reshape(4, n)
 
-            inv_p = (0.5 * common) / (p1 * p2)
-            wd = (g[0] + g[1]) * inv_p
-            we = (g[2] + g[3]) * inv_p
-
+            inv_p = (0.5 * common) / density
+            w = (g[0::2] + g[1::2]) * inv_p
         inball = (r1mag <= r_max) & (r2mag <= r_max)
-        wd = np.where(inball, wd, 0.0)
-        we = np.where(inball, we, 0.0)
-        finite = (
-            np.isfinite(wd.real) & np.isfinite(wd.imag)
-            & np.isfinite(we.real) & np.isfinite(we.imag)
-        )
-        n_rej = int(np.count_nonzero(~finite))
-        if n_rej:
-            wd = np.where(finite, wd, 0.0)
-            we = np.where(finite, we, 0.0)
+        return np.where(inball, w, 0.0)
 
-        x = np.stack([wd.real, wd.imag, we.real, we.imag])
+    return weigh
+
+
+def c3_pair(kin: Kinematics, cfg: McConfig, point_key: int = 0) -> PairEstimate:
+    """Estimate both 3C amplitudes on one mirror-symmetrized sample set."""
+    cfg = cfg.validated()
+    n_total = int(cfg.samples)
+    d_ab = kin.k_a - kin.k_b
+    if not cfg.debug_free_limit and float(d_ab @ d_ab) == 0.0:
+        # coincident outgoing momenta: the repulsive correlation factor
+        # suppresses the state completely and the T matrix vanishes
+        return PairEstimate(0.0 + 0.0j, 0.0 + 0.0j, np.zeros((4, 4)), n_total, 0)
+    weigh = _kernel(kin, cfg)
+
+    s1_blocks = []
+    s2_blocks = []
+    n_rejected = 0
+    for blk in range((n_total + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        n = min(BLOCK_SIZE, n_total - blk * BLOCK_SIZE)
+        w = weigh(*_draw(cfg, point_key, blk, n))
+        finite = np.isfinite(w).all(axis=0)
+        n_rejected += int(np.count_nonzero(~finite))
+        w = np.where(finite, w, 0.0)
+
+        x = np.stack([w[0].real, w[0].imag, w[1].real, w[1].imag])
         s1_blocks.append(x.sum(axis=1))
         s2_blocks.append(x @ x.T)
-        n_rej_blocks.append(n_rej)
 
-    n_rejected = sum(n_rej_blocks)
     if n_rejected > _MAX_REJECT_FRACTION * n_total:
         raise ArithmeticError(
             f"3C Monte Carlo rejected {n_rejected} of {n_total} samples "

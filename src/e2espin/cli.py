@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import bellsim
+from .amplitudes import McConfig
 from .bell import RATIO_BOUND, chsh_expectation
 from .entanglement import (
     concurrence_closed_form,
@@ -78,8 +79,8 @@ def _load_cfg(args) -> ScanConfig:
 def _point_grids(cfg: ScanConfig, args):
     """Kinematics and 1x1 amplitude grids at the requested angle pair.
 
-    ``build_coplanar`` rejects angles outside [-180, 180] deg for both
-    models.
+    ``build_coplanar`` rejects NaN angles and angles outside
+    [-180, 180] deg for both models.
     """
     e0, eb, et = cfg.energies_hartree()
     kin = build_coplanar(e0, eb, math.radians(args.theta_a), math.radians(args.theta_b), et)
@@ -169,6 +170,8 @@ def cmd_scan(args) -> int:
 
 def cmd_bell_sim(args) -> int:
     cfg = _load_cfg(args)
+    if args.n_per_setting < 1:
+        raise ConfigError(f"--n-per-setting must be at least 1, got {args.n_per_setting}")
     _, td, te, _ = _point_grids(cfg, args)
     p1, p2 = resolve_polarizations(cfg)
     rho = rho_mixed(AmplitudePair(complex(td[0, 0]), complex(te[0, 0])), p1, p2)
@@ -195,7 +198,11 @@ def cmd_bell_sim(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = run_all_suites(mc_samples=args.mc_samples, seed=args.seed or 0)
+    try:  # the Monte Carlo suites run with these values
+        McConfig(samples=args.mc_samples, seed=args.seed).validated()
+    except ValueError as exc:
+        raise ConfigError(f"--mc-samples/--seed: {exc}") from exc
+    results = run_all_suites(mc_samples=args.mc_samples, seed=args.seed)
     for res in results:
         print(res.line())
     if all(r.passed for r in results):

@@ -86,7 +86,7 @@ def build_coplanar(e0: float, e_b: float, theta_a: float, theta_b: float, e_t: f
             f"(e0 = {e0:.6g}, e_t = {e_t:.6g}, e_b = {e_b:.6g})"
         )
     for name, th in (("theta_a", theta_a), ("theta_b", theta_b)):
-        if abs(th) > math.pi + 1e-12:
+        if not abs(th) <= math.pi + 1e-12:  # NaN fails every comparison
             raise KinematicsError(f"{name} must lie in [-pi, pi], got {th}")
     ka = math.sqrt(2.0 * e_a)
     kb = math.sqrt(2.0 * e_b)

@@ -134,7 +134,15 @@ def _flag(value) -> bool:
     return value
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
 def _vector(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("expected an array")
     return tuple(_real(x) for x in value)
 
 
@@ -145,10 +153,10 @@ def _nullable(conv):
 # the settable keys and their converters (a nested table for a nested
 # object); the defaults live on the dataclass fields
 _CONVERTERS = {
-    "model": str, "e0_ev": _real, "eb_ev": _nullable(_real), "et_ev": _real,
-    "scenario": str, "p1": _nullable(_vector), "p2": _nullable(_vector),
+    "model": _string, "e0_ev": _real, "eb_ev": _nullable(_real), "et_ev": _real,
+    "scenario": _string, "p1": _nullable(_vector), "p2": _nullable(_vector),
     "theta_min_deg": _real, "theta_max_deg": _real, "step_deg": _real,
-    "threshold_frac": _real, "output_dir": str,
+    "threshold_frac": _real, "output_dir": _string,
     "mc": {"samples": _integer, "seed": _integer, "lambda1": _real, "r_max": _real,
            "debug_free_limit": _flag},
 }

@@ -246,3 +246,5 @@ class TestAmplitudePairApi:
             McConfig(r_max=0.0).validated()
         with pytest.raises(ValueError):
             McConfig(seed=-1).validated()
+        with pytest.raises(ValueError):
+            McConfig(seed=2**64).validated()

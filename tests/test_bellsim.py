@@ -77,6 +77,12 @@ class TestSampling:
         b = sample_coincidences(RHO_SINGLET, ZHAT, [1.0, 0.0, 0.0], 5000, 42)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [2**64, (1, 2**64), -1])
+    def test_seed_beyond_64_bits_rejected(self, seed):
+        # masking it to 64 bits would alias another seed's stream
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            sample_coincidences(RHO_SINGLET, ZHAT, ZHAT, 10, seed)
+
     def test_frequencies_track_probabilities(self):
         rng = np.random.default_rng(73)
         n = 1_000_000

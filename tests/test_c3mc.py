@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from e2espin import c3mc
-from e2espin.amplitudes import McConfig, free_limit_closed_form
-from e2espin.kinematics import build_coplanar
+from e2espin.amplitudes import (
+    McConfig,
+    coulomb_wave,
+    ee_correlation,
+    free_limit_closed_form,
+    hydrogen_1s_position,
+)
+from e2espin.kinematics import HARTREE_EV, build_coplanar
 
 E0, ET, EB = 2.0, -0.5, 0.75
 
@@ -168,3 +174,71 @@ class TestRejection:
         assert rejected.t_d == pytest.approx(zeroed.t_d, rel=1e-14)
         assert rejected.t_e == pytest.approx(zeroed.t_e, rel=1e-14)
         np.testing.assert_allclose(rejected.cov, zeroed.cov, rtol=1e-14, atol=0.0)
+
+
+def scalar_integrand(k0, k_a, k_b, r1, r2):
+    """The unsymmetrized 3C integrand at one point, from the scalar functions."""
+    r12 = r1 - r2
+    return (
+        np.conj(coulomb_wave(k_a, r1))
+        * np.conj(coulomb_wave(k_b, r2))
+        * np.conj(ee_correlation(0.5 * (k_a - k_b), r12))
+        * (1.0 / np.linalg.norm(r12) - 1.0 / np.linalg.norm(r1))
+        * hydrogen_1s_position(r2)
+        * np.exp(1j * float(k0 @ r1))
+    )
+
+
+def unit_vectors(rng, n):
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+class TestIntegrandOracle:
+    # the scalar and the batched 1F1 agree to a few 1e-9 (special.py's floor)
+    RTOL = 1e-7
+
+    @pytest.mark.parametrize(
+        "kin",
+        [
+            kin_at(45.0, -60.0),
+            kin_at(20.0, -60.0, eb=0.3),  # unequal sharing: two wave xi
+            kin_at(40.0, -40.0),  # symmetric
+            build_coplanar(54.4 / HARTREE_EV, 5.0 / HARTREE_EV, math.radians(20.0),
+                           math.radians(-60.0), -13.605693 / HARTREE_EV),
+        ],
+        ids=["equal", "unequal", "symmetric", "c3_point"],
+    )
+    def test_kernel_matches_scalar_integrand(self, kin):
+        cfg = McConfig()
+        rng = np.random.default_rng(2024)
+        n = 20
+        r1mag = rng.uniform(0.2, 0.99 * cfg.r_max, n)  # crosses the taper at r_max/2
+        r2mag = rng.uniform(0.1, 4.0, n)
+        r1 = r1mag[:, None] * unit_vectors(rng, n)
+        r2 = r2mag[:, None] * unit_vectors(rng, n)
+        w = c3mc._kernel(kin, cfg)(r1, r1mag, r2, r2mag, np.ones(n))
+
+        # (k0, kA, kB) and their reflection through the symmetrization plane
+        normal = c3mc._mirror_normal(kin.k_a, kin.k_b)
+        k = (kin.k0, kin.k_a, kin.k_b)
+        mk = tuple(v - 2.0 * float(v @ normal) * normal for v in k)
+        for s in range(n):
+            ramp = min(max((r1mag[s] / cfg.r_max - 0.5) * 2.0, 0.0), 1.0)
+            window = math.cos(0.5 * math.pi * ramp) ** 2
+            for row, (a, b) in enumerate(((1, 2), (2, 1))):  # direct, then kA <-> kB
+                expected = 0.5 * window * (
+                    scalar_integrand(k[0], k[a], k[b], r1[s], r2[s])
+                    + scalar_integrand(mk[0], mk[a], mk[b], r1[s], r2[s])
+                )
+                assert abs(w[row, s] - expected) <= self.RTOL * abs(expected), (row, s)
+
+    def test_kernel_is_zero_outside_the_ball(self):
+        cfg = McConfig()
+        r1mag = np.array([cfg.r_max * 1.01, 2.0])
+        r2mag = np.array([1.0, cfg.r_max * 1.01])
+        r1 = r1mag[:, None] * np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        r2 = r2mag[:, None] * np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        w = c3mc._kernel(kin_at(45.0, -60.0), cfg)(r1, r1mag, r2, r2mag, np.ones(2))
+        assert np.all(w == 0.0)
+

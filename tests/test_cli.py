@@ -118,6 +118,12 @@ class TestExitCodes:
             ({"threshold_frac": True}, "threshold_frac"),
             ({"mc": {"r_max": True}}, "mc.r_max"),
             ({"mc": {"seed": True}}, "mc.seed"),
+            ({"output_dir": None}, "output_dir"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"scenario": "custom", "p1": "100", "p2": [0, 0, 1]}, "p1"),
+            ({"scenario": "custom", "p1": [0, 0, 1], "p2": "001"}, "p2"),
+            ({"model": None}, "model"),
+            ({"scenario": ["perp"]}, "scenario"),
         ],
     )
     def test_malformed_value_is_config_error(self, capsys, tmp_path, data, key):
@@ -149,6 +155,36 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "--workers" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("bell-sim", "--theta-a", "45", "--theta-b", "-45", "--n-per-setting", "0"),
+             "--n-per-setting"),
+            (("bell-sim", "--theta-a", "45", "--theta-b", "-45", "--n-per-setting", "-5"),
+             "--n-per-setting"),
+            (("validate", "--mc-samples", "10"), "--mc-samples"),
+            (("validate", "--seed", "-20245"), "--seed"),
+        ],
+    )
+    def test_unrunnable_flag_is_config_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("point", "--theta-a", "nan", "--theta-b", "-45"),
+            ("bell-sim", "--theta-a", "45", "--theta-b", "nan"),
+        ],
+    )
+    def test_nan_angle_is_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "must lie in [-pi, pi], got nan" in err
 
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(

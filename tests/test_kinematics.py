@@ -51,8 +51,9 @@ class TestBuildCoplanar:
             build_coplanar(2.0, 1.6, 0.5, -0.5, -0.5)
 
     def test_angle_range(self):
-        with pytest.raises(KinematicsError):
-            build_coplanar(2.0, 0.75, 4.0, 0.0, -0.5)
+        for theta_a, theta_b in ((4.0, 0.0), (math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(KinematicsError):
+                build_coplanar(2.0, 0.75, theta_a, theta_b, -0.5)
 
     def test_momentum_transfer_definition(self):
         kin = build_coplanar(2.0, 0.6, 0.3, -1.0, -0.5)
