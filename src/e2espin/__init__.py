@@ -20,12 +20,9 @@ from .bell import (
     RATIO_BOUND,
     TSIRELSON_BOUND,
     DetectorSettings,
-    bell_lhs_cross_sections,
     chsh_closed_form,
     chsh_expectation,
     chsh_operator,
-    spin_asymmetry,
-    violates_bell,
 )
 from .bellsim import (
     CoincidenceCounts,
@@ -37,23 +34,17 @@ from .bellsim import (
 from .c3mc import PairEstimate, c3_pair
 from .entanglement import (
     concurrence_closed_form,
-    concurrence_pure_closed,
     concurrence_pure_from_state,
-    concurrence_unpolarized,
     concurrence_wootters,
     entanglement_of_formation,
-    entropy_from_concurrence,
     linear_entropy,
-    singlet_triplet_concurrence,
     von_neumann_entropy,
 )
 from .kinematics import (
     HARTREE_EV,
-    CrossSections,
     Kinematics,
     KinematicsError,
     build_coplanar,
-    tdcs_basic,
     tdcs_polarized,
     tdcs_prefactor,
 )

@@ -69,10 +69,10 @@ class McConfig:
             raise ValueError(f"mc seed must be nonnegative, got {self.seed}")
         if int(self.seed) >= 2**64:  # the Philox key holds 64 bits of seed
             raise ValueError(f"mc seed must be below 2**64, got {self.seed}")
-        if not self.lambda1 > 0.0:
-            raise ValueError(f"mc lambda1 must be positive, got {self.lambda1}")
-        if not self.r_max > 0.0:
-            raise ValueError(f"mc r_max must be positive, got {self.r_max}")
+        if not 0.0 < self.lambda1 < math.inf:
+            raise ValueError(f"mc lambda1 must be positive and finite, got {self.lambda1}")
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"mc r_max must be positive and finite, got {self.r_max}")
         return self
 
 

@@ -9,7 +9,8 @@ the second.  The default projection directions maximize the violation
 for the singlet: a1 = z, a2 = x, b1 = -(x + z)/sqrt(2),
 b2 = (z - x)/sqrt(2).  Local realism bounds <Pi> by 2; quantum
 mechanics by 2 sqrt(2) (Tsirelson).  The cross-section form of the
-inequality is normalized so that its classical bound is 1/sqrt(2).
+inequality, ``bell_lhs`` of the observables core in ``scan``, is
+<Pi>/(2 sqrt 2); its classical bound is RATIO_BOUND = 1/sqrt(2).
 """
 
 from __future__ import annotations
@@ -25,18 +26,13 @@ __all__ = [
     "DetectorSettings",
     "DEFAULT_SETTINGS",
     "TSIRELSON_BOUND",
-    "CHSH_CLASSICAL_BOUND",
     "RATIO_BOUND",
     "chsh_operator",
     "chsh_expectation",
     "chsh_closed_form",
-    "bell_lhs_cross_sections",
-    "spin_asymmetry",
-    "violates_bell",
 ]
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-CHSH_CLASSICAL_BOUND = 2.0
 RATIO_BOUND = 1.0 / math.sqrt(2.0)
 
 _S = 1.0 / math.sqrt(2.0)
@@ -111,42 +107,3 @@ def chsh_closed_form(amps: AmplitudePair, pol1, pol2) -> float:
         raise DegenerateStateError("pair state vanishes (u = 0)")
     num = 2.0 * re * (1.0 - z1[1] * z2[1]) - ab2 * (z1[0] * z2[0] + z1[2] * z2[2])
     return math.sqrt(2.0) * num / u
-
-
-def bell_lhs_cross_sections(i_anti: float, i_par: float, p1, p2) -> float:
-    """Left-hand side of the cross-section form of Bell's inequality.
-
-    [I_anti (1 - P1.P2) - I_par (1 - P1y P2y)]
-      / [I_anti (1 - P1.P2) + I_par (1 + P1.P2)],
-    violated when the value exceeds 1/sqrt(2).  I_anti is the
-    antiparallel-spin TDCS and I_par the parallel-spin TDCS.
-    """
-    if i_anti < 0.0 or i_par < 0.0:
-        raise ValueError("cross sections must be nonnegative")
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    dot = float(p1 @ p2)
-    den = i_anti * (1.0 - dot) + i_par * (1.0 + dot)
-    if den == 0.0:
-        raise ValueError("zero denominator: no measurable flux for these inputs")
-    num = i_anti * (1.0 - dot) - i_par * (1.0 - p1[1] * p2[1])
-    return num / den
-
-
-def spin_asymmetry(i_anti: float, i_par: float) -> float:
-    """Spin asymmetry (I_anti - I_par)/(I_anti + I_par).
-
-    Values above 1/sqrt(2) indicate a Bell-inequality violation when at
-    least one of the initial electrons is unpolarized.
-    """
-    if i_anti < 0.0 or i_par < 0.0:
-        raise ValueError("cross sections must be nonnegative")
-    den = i_anti + i_par
-    if den == 0.0:
-        raise ValueError("zero denominator: both cross sections vanish")
-    return (i_anti - i_par) / den
-
-
-def violates_bell(ratio_lhs: float) -> bool:
-    """Strict violation predicate for the 1/sqrt(2)-bounded forms."""
-    return ratio_lhs > RATIO_BOUND

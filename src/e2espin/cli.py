@@ -44,7 +44,7 @@ from .scan import (
     write_pgm,
 )
 from .spin import AmplitudePair, DegenerateStateError, reduced_density, rho_mixed
-from .validate import run_all_suites
+from .validate import _MAX_SEED_OFFSET, run_all_suites
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -198,10 +198,13 @@ def cmd_bell_sim(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:  # the Monte Carlo suites run with these values
+    try:  # before any suite runs: its budget, and the seeds it derives
         McConfig(samples=args.mc_samples, seed=args.seed).validated()
+        McConfig(seed=args.seed + _MAX_SEED_OFFSET).validated()
     except ValueError as exc:
-        raise ConfigError(f"--mc-samples/--seed: {exc}") from exc
+        raise ConfigError(
+            f"--mc-samples/--seed (the suites use seeds up to --seed + {_MAX_SEED_OFFSET}): {exc}"
+        ) from exc
     results = run_all_suites(mc_samples=args.mc_samples, seed=args.seed)
     for res in results:
         print(res.line())

@@ -1,10 +1,11 @@
 """Entanglement measures for the outgoing electron pair.
 
-The general mixed-state measure is the Wootters concurrence; for the
-states produced by ionization there are closed forms in terms of the
-amplitudes and initial polarizations, which the functions below expose
-alongside the matrix route so each can serve as an oracle for the
-other.  Entropies are base-2 throughout.
+The general mixed-state measure is the Wootters concurrence of a
+density matrix.  For the states produced by ionization with fully
+polarized or unpolarized initial spins, ``concurrence_closed_form``
+gives it directly from arrays of amplitudes; the observables core in
+``scan`` uses it, and ``validate`` checks it against the Wootters route.
+Entropies are base-2 throughout.
 """
 
 from __future__ import annotations
@@ -13,17 +14,13 @@ import math
 
 import numpy as np
 
-from .spin import AmplitudePair, DegenerateStateError, SpinDensityMatrix
+from .spin import SpinDensityMatrix
 
 __all__ = [
     "concurrence_wootters",
     "concurrence_closed_form",
-    "concurrence_pure_closed",
     "concurrence_pure_from_state",
-    "concurrence_unpolarized",
-    "singlet_triplet_concurrence",
     "entanglement_of_formation",
-    "entropy_from_concurrence",
     "von_neumann_entropy",
     "linear_entropy",
 ]
@@ -129,24 +126,6 @@ def concurrence_closed_form(td, te, p1, p2):
     return None
 
 
-def concurrence_pure_closed(amps: AmplitudePair, zeta1, zeta2) -> float:
-    """Closed-form pair concurrence for fully polarized initial spins.
-
-    C = |t_d||t_e|(1 - z1.z2) / (|t_d|^2 + |t_e|^2 - Re(t_d t_e*)(1 + z1.z2))
-    """
-    td, te = complex(amps.t_d), complex(amps.t_e)
-    z1 = np.asarray(zeta1, dtype=float)
-    z2 = np.asarray(zeta2, dtype=float)
-    for name, z in (("zeta1", z1), ("zeta2", z2)):
-        if abs(np.linalg.norm(z) - 1.0) > 1e-8:
-            raise ValueError(f"{name} must be a unit vector")
-    dot = float(z1 @ z2)
-    u = abs(td) ** 2 + abs(te) ** 2 - (td * te.conjugate()).real * (1.0 + dot)
-    if u <= 1e-14 * (abs(td) ** 2 + abs(te) ** 2 + 1e-300):
-        raise DegenerateStateError("pair state vanishes (u = 0)")
-    return float(_pure_form(np.asarray(td), np.asarray(te), dot))
-
-
 def concurrence_pure_from_state(psi) -> float:
     """Concurrence of a normalized pure pair state via reduced purity.
 
@@ -164,31 +143,6 @@ def concurrence_pure_from_state(psi) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
 
 
-def concurrence_unpolarized(amps: AmplitudePair) -> float:
-    """Pair concurrence for unpolarized projectile and target.
-
-    Nonzero only when singlet scattering dominates:
-    theta(|t_d + t_e|^2 - 3 |t_d - t_e|^2)
-      * (4 Re(t_d t_e*) - |t_d|^2 - |t_e|^2)
-      / (2 (|t_d|^2 + |t_e|^2 - Re(t_d t_e*))).
-    """
-    td, te = complex(amps.t_d), complex(amps.t_e)
-    if td == 0.0 and te == 0.0:
-        raise ValueError("both amplitudes are zero")
-    return float(_unpolarized_form(np.asarray(td), np.asarray(te)))
-
-
-def singlet_triplet_concurrence(i_s: float, i_t: float) -> float:
-    """Unpolarized-beam concurrence from singlet/triplet TDCS components."""
-    if i_s < 0.0 or i_t < 0.0:
-        raise ValueError("cross-section components must be nonnegative")
-    if i_s == 0.0 and i_t == 0.0:
-        raise ValueError("cross-section components are both zero")
-    if i_s <= i_t:
-        return 0.0
-    return (i_s - i_t) / (i_s + i_t)
-
-
 def entanglement_of_formation(c):
     """Entanglement of formation of a two-qubit state with concurrence c.
 
@@ -204,14 +158,6 @@ def entanglement_of_formation(c):
     xi = x[inner]
     out[inner] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
     return float(out) if out.ndim == 0 else out
-
-
-def entropy_from_concurrence(c: float) -> float:
-    """Von Neumann entropy of either marginal of a pure pair state.
-
-    For pure states this coincides with the entanglement of formation.
-    """
-    return entanglement_of_formation(c)
 
 
 def von_neumann_entropy(rho1) -> float:

@@ -23,10 +23,8 @@ __all__ = [
     "KinematicsError",
     "HARTREE_EV",
     "Kinematics",
-    "CrossSections",
     "build_coplanar",
     "tdcs_prefactor",
-    "tdcs_basic",
     "tdcs_polarized",
 ]
 
@@ -117,42 +115,6 @@ def tdcs_prefactor(kin: Kinematics) -> float:
     kb = float(np.linalg.norm(kin.k_b))
     k0 = float(np.linalg.norm(kin.k0))
     return ka * kb / ((2.0 * math.pi) ** 5 * k0)
-
-
-@dataclass(frozen=True)
-class CrossSections:
-    """Basic spin-resolved TDCS components (atomic units).
-
-    i_par: both spins parallel, proportional to |t_d - t_e|^2.
-    i_anti_d / i_anti_e: antiparallel spins without / with exchange of
-    the detected electrons, proportional to |t_d|^2 / |t_e|^2.
-    i_s / i_t: singlet and triplet channel components of the
-    spin-averaged TDCS; i_t is exactly 0.75 * i_par.
-    """
-
-    i_par: float
-    i_anti_d: float
-    i_anti_e: float
-    i_s: float
-    i_t: float
-
-    @property
-    def i_anti(self) -> float:
-        return self.i_anti_d + self.i_anti_e
-
-
-def tdcs_basic(amps: AmplitudePair, kin: Kinematics) -> CrossSections:
-    """Spin-resolved TDCS components from the amplitude pair."""
-    pref = tdcs_prefactor(kin)
-    td, te = complex(amps.t_d), complex(amps.t_e)
-    i_par = pref * abs(td - te) ** 2
-    return CrossSections(
-        i_par=i_par,
-        i_anti_d=pref * abs(td) ** 2,
-        i_anti_e=pref * abs(te) ** 2,
-        i_s=0.25 * pref * abs(td + te) ** 2,
-        i_t=0.75 * i_par,
-    )
 
 
 def tdcs_polarized(amps: AmplitudePair, p_dot: float, kin: Kinematics) -> float:

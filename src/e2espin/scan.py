@@ -119,7 +119,10 @@ def _convert(key: str, value, conv):
 def _real(value) -> float:
     if isinstance(value, bool):
         raise TypeError("expected a number, not a boolean")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):  # Python's json accepts NaN and Infinity
+        raise ValueError("expected a finite number")
+    return x
 
 
 def _integer(value) -> int:

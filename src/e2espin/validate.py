@@ -1,15 +1,20 @@
 """Cross-checking suites: every closed form against its matrix oracle.
 
 Each suite pits two independent routes to the same quantity against
-each other (closed form vs. density-matrix algebra, analytic limit vs.
-Monte Carlo, and so on) and reports the worst deviation against a
-fixed tolerance.  The CLI ``validate`` subcommand runs them all.
+each other and reports the worst deviation against a fixed tolerance:
+the production closed forms (``concurrence_closed_form`` and the
+observables core's ``bell_lhs``) against the density-matrix algebra,
+the Bell-basis closed form against the constructed matrix, and the
+Monte Carlo estimator against its exact symmetry and plane-wave limit.
+The CLI ``validate`` subcommand runs them all and reports each suite's
+wall time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,17 +23,12 @@ from .amplitudes import McConfig, free_limit_closed_form, pwba_amplitudes
 from .bell import (
     DEFAULT_SETTINGS,
     TSIRELSON_BOUND,
-    bell_lhs_cross_sections,
     chsh_closed_form,
     chsh_expectation,
 )
-from .entanglement import (
-    concurrence_closed_form,
-    concurrence_pure_closed,
-    concurrence_unpolarized,
-    concurrence_wootters,
-)
+from .entanglement import concurrence_closed_form, concurrence_wootters
 from .kinematics import build_coplanar
+from .scan import observables_from_amplitudes, parse_config
 from .spin import (
     AmplitudePair,
     rho_bell_closed_form,
@@ -39,6 +39,9 @@ from .spin import (
 
 __all__ = ["SuiteResult", "run_all_suites"]
 
+# the largest offset run_all_suites adds to its seed
+_MAX_SEED_OFFSET = 20246
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -47,13 +50,14 @@ class SuiteResult:
     observed: float
     tolerance: float
     detail: str = ""
+    seconds: float = 0.0  # wall time of the suite
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f" ({self.detail})" if self.detail else ""
         return (
             f"[{status}] {self.name}: observed {self.observed:.3e}, "
-            f"tolerance {self.tolerance:.1e}{extra}"
+            f"tolerance {self.tolerance:.1e}{extra} in {self.seconds:.2f} s"
         )
 
 
@@ -77,7 +81,7 @@ def suite_pure_concurrence(n: int = 10_000, seed: int = 20240, tol: float = 1e-1
     for _ in range(n):
         amps = _random_amplitudes(rng)
         z1, z2 = _random_unit(rng), _random_unit(rng)
-        closed = concurrence_pure_closed(amps, z1, z2)
+        closed = float(concurrence_closed_form(amps.t_d, amps.t_e, z1, z2))
         woot = concurrence_wootters(rho_pure(amps, z1, z2))
         worst = max(worst, abs(closed - woot))
     return SuiteResult("pure-concurrence-closed-vs-wootters", worst <= tol, worst, tol)
@@ -90,7 +94,7 @@ def suite_mixed_concurrence(n: int = 10_000, seed: int = 20241, tol: float = 1e-
     worst = 0.0
     for _ in range(n):
         amps = _random_amplitudes(rng)
-        closed = concurrence_unpolarized(amps)
+        closed = float(concurrence_closed_form(amps.t_d, amps.t_e, zero, zero))
         woot = concurrence_wootters(rho_mixed(amps, zero, zero))
         worst = max(worst, abs(closed - woot))
         p1 = _random_unit(rng)
@@ -118,6 +122,13 @@ def suite_density_closed_form(n: int = 1_000, seed: int = 20242, tol: float = 1e
     return SuiteResult("density-matrix-closed-form", worst <= tol, worst, tol)
 
 
+def _core_bell_lhs(amps: AmplitudePair, p1, p2) -> float:
+    """``bell_lhs`` of the observables core at one point."""
+    cfg = parse_config({"scenario": "custom", "p1": list(p1), "p2": list(p2)})
+    obs = observables_from_amplitudes(cfg, np.array([amps.t_d]), np.array([amps.t_e]))
+    return float(obs["bell_lhs"][0])
+
+
 def suite_chsh(
     n: int = 10_000,
     seed: int = 20243,
@@ -125,6 +136,9 @@ def suite_chsh(
     closed_form=chsh_closed_form,
 ) -> SuiteResult:
     """Amplitude-level CHSH forms vs. the operator trace.
+
+    The closed form is compared with Tr(rho Pi), and the core's
+    cross-section form, <Pi>/(2 sqrt 2), with the closed form.
 
     ``closed_form`` is injectable so tests can verify the suite catches
     a wrong formula.
@@ -143,11 +157,7 @@ def suite_chsh(
         rho = rho_pure(amps, z1, z2)
         trace = chsh_expectation(rho, DEFAULT_SETTINGS)
         worst = max(worst, abs(closed - trace))
-        # the cross-section form is <Pi>/(2 sqrt 2) for the same inputs
-        td, te = amps.t_d, amps.t_e
-        i_anti = abs(td) ** 2 + abs(te) ** 2
-        i_par = abs(td - te) ** 2
-        ratio = bell_lhs_cross_sections(i_anti, i_par, z1, z2)
+        ratio = _core_bell_lhs(amps, z1, z2)
         worst = max(worst, abs(ratio * TSIRELSON_BOUND - closed))
         if abs(trace) > TSIRELSON_BOUND + 1e-12:
             worst = max(worst, abs(trace) - TSIRELSON_BOUND)
@@ -202,13 +212,19 @@ def suite_c3_free_limit(samples: int = 200_000, seed: int = 20246) -> SuiteResul
 
 
 def run_all_suites(mc_samples: int = 200_000, seed: int = 0) -> list[SuiteResult]:
-    """Run every oracle suite; MC budgets scale with ``mc_samples``."""
-    return [
-        suite_pure_concurrence(seed=20240 + seed),
-        suite_mixed_concurrence(seed=20241 + seed),
-        suite_density_closed_form(seed=20242 + seed),
-        suite_chsh(seed=20243 + seed),
-        suite_pwba_symmetry(seed=20244 + seed),
-        suite_c3_symmetry(samples=max(1000, mc_samples // 10), seed=20245 + seed),
-        suite_c3_free_limit(samples=mc_samples, seed=20246 + seed),
+    """Run and time every oracle suite; MC budgets scale with ``mc_samples``."""
+    suites = [
+        lambda: suite_pure_concurrence(seed=20240 + seed),
+        lambda: suite_mixed_concurrence(seed=20241 + seed),
+        lambda: suite_density_closed_form(seed=20242 + seed),
+        lambda: suite_chsh(seed=20243 + seed),
+        lambda: suite_pwba_symmetry(seed=20244 + seed),
+        lambda: suite_c3_symmetry(samples=max(1000, mc_samples // 10), seed=20245 + seed),
+        lambda: suite_c3_free_limit(samples=mc_samples, seed=_MAX_SEED_OFFSET + seed),
     ]
+    results = []
+    for suite in suites:
+        start = time.perf_counter()
+        result = suite()
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

@@ -20,16 +20,11 @@ from e2espin.bell import (
     DEFAULT_SETTINGS,
     RATIO_BOUND,
     TSIRELSON_BOUND,
-    bell_lhs_cross_sections,
     chsh_closed_form,
     chsh_expectation,
 )
 from e2espin.bellsim import simulate_chsh
-from e2espin.entanglement import (
-    concurrence_pure_closed,
-    concurrence_unpolarized,
-    concurrence_wootters,
-)
+from e2espin.entanglement import concurrence_closed_form, concurrence_wootters
 from e2espin.kinematics import build_coplanar
 from e2espin.scan import (
     amplitude_grids,
@@ -108,7 +103,7 @@ def test_criterion_01_pure_concurrence_oracle():
     for _ in range(10_000):
         amps = random_amps(rng)
         z1, z2 = random_unit(rng), random_unit(rng)
-        closed = concurrence_pure_closed(amps, z1, z2)
+        closed = float(concurrence_closed_form(amps.t_d, amps.t_e, z1, z2))
         woot = concurrence_wootters(rho_pure(amps, z1, z2))
         worst = max(worst, abs(closed - woot))
     elapsed = time.perf_counter() - start
@@ -129,9 +124,9 @@ def test_criterion_02_mixed_concurrence_oracle():
     worst_one = 0.0
     for _ in range(10_000):
         amps = random_amps(rng)
+        closed = float(concurrence_closed_form(amps.t_d, amps.t_e, zero, zero))
         worst_unpol = max(
-            worst_unpol,
-            abs(concurrence_unpolarized(amps) - concurrence_wootters(rho_mixed(amps, zero, zero))),
+            worst_unpol, abs(closed - concurrence_wootters(rho_mixed(amps, zero, zero)))
         )
         td, te = amps.t_d, amps.t_e
         perp = min(
@@ -190,10 +185,10 @@ def test_criterion_04_chsh_identities():
         closed = chsh_closed_form(amps, z1, z2)
         trace = chsh_expectation(rho_pure(amps, z1, z2), DEFAULT_SETTINGS)
         worst_trace = max(worst_trace, abs(closed - trace))
-        td, te = amps.t_d, amps.t_e
-        lhs = bell_lhs_cross_sections(
-            abs(td) ** 2 + abs(te) ** 2, abs(td - te) ** 2, z1, z2
-        )
+        cfg = parse_config({"scenario": "custom", "p1": list(z1), "p2": list(z2)})
+        lhs = observables_from_amplitudes(
+            cfg, np.array([amps.t_d]), np.array([amps.t_e])
+        )["bell_lhs"][0]
         worst_ratio = max(worst_ratio, abs(lhs * TSIRELSON_BOUND - closed))
         worst_bound = max(worst_bound, abs(trace) - TSIRELSON_BOUND)
     singlet = abs(

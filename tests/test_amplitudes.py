@@ -248,3 +248,8 @@ class TestAmplitudePairApi:
             McConfig(seed=-1).validated()
         with pytest.raises(ValueError):
             McConfig(seed=2**64).validated()
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                McConfig(lambda1=bad).validated()
+            with pytest.raises(ValueError):
+                McConfig(r_max=bad).validated()

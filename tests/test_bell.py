@@ -8,13 +8,11 @@ from e2espin.bell import (
     RATIO_BOUND,
     TSIRELSON_BOUND,
     DetectorSettings,
-    bell_lhs_cross_sections,
     chsh_closed_form,
     chsh_expectation,
     chsh_operator,
-    spin_asymmetry,
-    violates_bell,
 )
+from e2espin.scan import observables_from_amplitudes, parse_config
 from e2espin.spin import AmplitudePair, DegenerateStateError, rho_pure
 
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -30,6 +28,14 @@ def random_amps(rng):
 def random_unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def core(td, te, p1=(0.0, 0.0, 0.0), p2=(0.0, 0.0, 0.0)):
+    """The observables core at one point with initial polarizations P1, P2."""
+    cfg = parse_config({"scenario": "custom", "p1": list(p1), "p2": list(p2)})
+    obs = observables_from_amplitudes(cfg, np.array([td], dtype=complex),
+                                      np.array([te], dtype=complex))
+    return {name: value[0].item() for name, value in obs.items()}
 
 
 class TestOperator:
@@ -109,48 +115,48 @@ class TestClosedForm:
 
 
 class TestCrossSectionForm:
+    """The observables core's ``bell_lhs``."""
+
     def test_pure_singlet_limit(self):
-        assert bell_lhs_cross_sections(1.0, 0.0, ZHAT, -ZHAT) == pytest.approx(1.0, abs=1e-15)
-        assert violates_bell(1.0)
+        lhs = core(1.0 + 0.5j, 1.0 + 0.5j, ZHAT, -ZHAT)["bell_lhs"]  # I_par = 0
+        assert lhs == pytest.approx(1.0, abs=1e-15)
+        assert lhs > RATIO_BOUND
 
     def test_y_parallel_polarizations(self):
-        assert bell_lhs_cross_sections(2.0, 1.0, YHAT, YHAT) == pytest.approx(0.0, abs=1e-15)
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            amps = random_amps(rng)
+            assert core(amps.t_d, amps.t_e, YHAT, YHAT)["bell_lhs"] == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_with_operator_form(self):
         rng = np.random.default_rng(43)
         for _ in range(2000):
             amps = random_amps(rng)
             z1, z2 = random_unit(rng), random_unit(rng)
-            td, te = amps.t_d, amps.t_e
-            i_anti = abs(td) ** 2 + abs(te) ** 2
-            i_par = abs(td - te) ** 2
-            lhs = bell_lhs_cross_sections(i_anti, i_par, z1, z2)
+            lhs = core(amps.t_d, amps.t_e, z1, z2)["bell_lhs"]
             assert abs(lhs * TSIRELSON_BOUND - chsh_closed_form(amps, z1, z2)) <= 1e-12
 
     def test_zero_denominator(self):
-        with pytest.raises(ValueError):
-            bell_lhs_cross_sections(0.0, 1.0, ZHAT, -ZHAT)  # 1+P1.P2 = 0 too
+        # parallel polarizations and t_d = t_e: I_anti (1 - P1.P2) = I_par (1 + P1.P2) = 0
+        assert core(0.7 - 0.1j, 0.7 - 0.1j, ZHAT, ZHAT)["bell_lhs"] == 0.0
 
 
 class TestAsymmetry:
+    """The observables core's ``asymmetry`` (I_anti - I_par)/(I_anti + I_par)."""
+
     def test_no_parallel_flux(self):
-        a = spin_asymmetry(2.0, 0.0)
+        a = core(1.0, 1.0)["asymmetry"]
         assert a == 1.0
-        assert violates_bell(a)
+        assert a > RATIO_BOUND
 
     def test_balanced(self):
-        assert spin_asymmetry(1.5, 1.5) == 0.0
+        assert core(1.0, 0.75j)["asymmetry"] == 0.0  # Re(t_d t_e*) = 0, exact moduli
 
     def test_three_to_one(self):
-        a = spin_asymmetry(3.0, 1.0)
+        a = core(1.0, 1.0 + 1.0j)["asymmetry"]  # I_anti = 3 I_par
         assert a == pytest.approx(0.5, abs=1e-15)
-        assert not violates_bell(a)
+        assert not a > RATIO_BOUND
         assert 0.5 < RATIO_BOUND
 
     def test_zero_flux(self):
-        with pytest.raises(ValueError):
-            spin_asymmetry(0.0, 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spin_asymmetry(-1.0, 1.0)
+        assert core(0.0, 0.0)["asymmetry"] == 0.0

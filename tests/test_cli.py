@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,11 @@ class TestExitCodes:
             ({"scenario": "custom", "p1": [0, 0, 1], "p2": "001"}, "p2"),
             ({"model": None}, "model"),
             ({"scenario": ["perp"]}, "scenario"),
+            ({"e0_ev": math.inf, "eb_ev": 5.0, "step_deg": 90.0}, "e0_ev"),
+            ({"model": "c3", "mc": {"r_max": math.inf}}, "mc.r_max"),
+            ({"mc": {"lambda1": -math.inf}}, "mc.lambda1"),
+            ({"theta_min_deg": math.nan}, "theta_min_deg"),
+            ({"scenario": "custom", "p1": [0, 0, math.nan], "p2": [0, 0, 1]}, "p1"),
         ],
     )
     def test_malformed_value_is_config_error(self, capsys, tmp_path, data, key):
@@ -165,6 +171,7 @@ class TestExitCodes:
              "--n-per-setting"),
             (("validate", "--mc-samples", "10"), "--mc-samples"),
             (("validate", "--seed", "-20245"), "--seed"),
+            (("validate", "--mc-samples", "1000", "--seed", str(2**64 - 1)), "--seed"),
         ],
     )
     def test_unrunnable_flag_is_config_error(self, capsys, argv, flag):
@@ -221,6 +228,9 @@ class TestExitCodes:
         elapsed = time.perf_counter() - start
         assert code == EXIT_OK
         assert "all 7 suites passed" in out
+        suite_lines = out.splitlines()[:-1]
+        assert len(suite_lines) == 7
+        assert all(re.search(r" in \d+\.\d\d s$", line) for line in suite_lines)
         assert elapsed < 60.0  # the closed-form suites are interactive-speed
 
     def test_validation_failure_exit_code(self, capsys, monkeypatch):

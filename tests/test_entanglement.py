@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from e2espin.entanglement import (
-    concurrence_pure_closed,
+    concurrence_closed_form,
     concurrence_pure_from_state,
-    concurrence_unpolarized,
     concurrence_wootters,
     entanglement_of_formation,
-    entropy_from_concurrence,
     linear_entropy,
-    singlet_triplet_concurrence,
     von_neumann_entropy,
 )
+from e2espin.scan import observables_from_amplitudes, parse_config
 from e2espin.spin import (
     AmplitudePair,
-    DegenerateStateError,
     pair_state,
     reduced_density,
     rho_mixed,
@@ -26,6 +23,7 @@ from e2espin.spin import (
 )
 
 ZHAT = np.array([0.0, 0.0, 1.0])
+ZERO = np.zeros(3)
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
@@ -37,6 +35,11 @@ def random_amps(rng):
 def random_unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def closed(amps, p1, p2):
+    """``concurrence_closed_form`` at one amplitude pair."""
+    return float(concurrence_closed_form(amps.t_d, amps.t_e, p1, p2))
 
 
 def wootters_eigenvalue_oracle(rho):
@@ -88,30 +91,29 @@ class TestWootters:
 
 class TestPureClosedForm:
     def test_parallel_is_zero(self):
-        assert concurrence_pure_closed(AmplitudePair(1.0, 0.4j), ZHAT, ZHAT) == 0.0
+        assert closed(AmplitudePair(1.0, 0.4j), ZHAT, ZHAT) == 0.0
 
     def test_antiparallel_equal_amplitudes(self):
-        assert concurrence_pure_closed(AmplitudePair(0.7j, 0.7j), ZHAT, -ZHAT) == pytest.approx(
+        assert closed(AmplitudePair(0.7j, 0.7j), ZHAT, -ZHAT) == pytest.approx(
             1.0, abs=1e-14
         )
 
     def test_antiparallel_value(self):
         # 2 |t_d||t_e| / (|t_d|^2+|t_e|^2) = 2*0.5/1.25 = 0.8
-        c = concurrence_pure_closed(AmplitudePair(1.0, 0.5), ZHAT, -ZHAT)
+        c = closed(AmplitudePair(1.0, 0.5), ZHAT, -ZHAT)
         assert c == pytest.approx(0.8, abs=1e-14)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateStateError):
-            concurrence_pure_closed(AmplitudePair(1.0, 1.0), ZHAT, ZHAT)
+        # parallel spins and t_d = t_e annihilate the pair state: 0, as at dead grid points
+        assert closed(AmplitudePair(1.0, 1.0), ZHAT, ZHAT) == 0.0
 
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(31)
         for _ in range(2000):
             amps = random_amps(rng)
             z1, z2 = random_unit(rng), random_unit(rng)
-            closed = concurrence_pure_closed(amps, z1, z2)
             woot = concurrence_wootters(rho_pure(amps, z1, z2))
-            assert abs(closed - woot) <= 1e-10
+            assert abs(closed(amps, z1, z2) - woot) <= 1e-10
 
 
 class TestPureFromState:
@@ -144,28 +146,22 @@ class TestPureFromState:
 
 class TestUnpolarized:
     def test_equal_amplitudes(self):
-        assert concurrence_unpolarized(AmplitudePair(0.5 - 0.2j, 0.5 - 0.2j)) == pytest.approx(
+        assert closed(AmplitudePair(0.5 - 0.2j, 0.5 - 0.2j), ZERO, ZERO) == pytest.approx(
             1.0, abs=1e-14
         )
 
     def test_pure_direct_is_gated(self):
-        assert concurrence_unpolarized(AmplitudePair(1.0, 0.0j)) == 0.0
+        assert closed(AmplitudePair(1.0, 0.0j), ZERO, ZERO) == 0.0
 
     def test_opposite_amplitudes(self):
-        assert concurrence_unpolarized(AmplitudePair(1.0, -1.0)) == 0.0
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            concurrence_unpolarized(AmplitudePair(0.0j, 0.0j))
+        assert closed(AmplitudePair(1.0, -1.0), ZERO, ZERO) == 0.0
 
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(33)
-        zero = np.zeros(3)
         for _ in range(2000):
             amps = random_amps(rng)
-            closed = concurrence_unpolarized(amps)
-            woot = concurrence_wootters(rho_mixed(amps, zero, zero))
-            assert abs(closed - woot) <= 1e-10
+            woot = concurrence_wootters(rho_mixed(amps, ZERO, ZERO))
+            assert abs(closed(amps, ZERO, ZERO) - woot) <= 1e-10
 
     def test_one_unpolarized_matches_perpendicular_form(self):
         rng = np.random.default_rng(34)
@@ -192,20 +188,30 @@ class TestUnpolarized:
 
 
 class TestSingletTriplet:
+    """The core's unpolarized concurrence against the measurable form
+    max(0, (I_S - I_T)/(I_S + I_T)) of its own singlet and triplet TDCS."""
+
+    @staticmethod
+    def core(td, te):
+        obs = observables_from_amplitudes(parse_config({}), np.array([td], dtype=complex),
+                                          np.array([te], dtype=complex))
+        i_s, i_t = obs["i_singlet"][0], obs["i_triplet"][0]
+        return obs["concurrence"][0], max(0.0, (i_s - i_t) / (i_s + i_t))
+
     def test_pure_singlet(self):
-        assert singlet_triplet_concurrence(2.5, 0.0) == 1.0
+        assert self.core(2.0, 2.0) == (1.0, 1.0)  # I_T = 0
 
     def test_boundary(self):
-        assert singlet_triplet_concurrence(1.0, 1.0) == 0.0
+        # I_S = I_T where |t_d + t_e|^2 = 3 |t_d - t_e|^2, at t_e/t_d = 2 - sqrt(3)
+        conc, form = self.core(1.0, 2.0 - math.sqrt(3.0))
+        assert conc == pytest.approx(0.0, abs=1e-15)
+        assert form == pytest.approx(0.0, abs=1e-15)
+        assert self.core(1.0, 0.25) == (0.0, 0.0)  # I_S < I_T
 
     def test_value(self):
-        assert singlet_triplet_concurrence(3.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            singlet_triplet_concurrence(0.0, 0.0)
-        with pytest.raises(ValueError):
-            singlet_triplet_concurrence(-1.0, 1.0)
+        conc, form = self.core(2.0, 1.0)  # I_S = 3 I_T
+        assert conc == pytest.approx(0.5, abs=1e-15)
+        assert form == pytest.approx(0.5, abs=1e-15)
 
 
 class TestEntropies:
@@ -239,7 +245,7 @@ class TestEntropies:
             rho = rho_pure(amps, z1, z2)
             c = concurrence_wootters(rho)
             s = von_neumann_entropy(reduced_density(rho, "first"))
-            assert abs(s - entropy_from_concurrence(c)) <= 1e-10
+            assert abs(s - entanglement_of_formation(c)) <= 1e-10
 
     def test_linear_entropy_values(self):
         assert linear_entropy(np.array([[1.0, 0.0], [0.0, 0.0]])) == pytest.approx(0.0, abs=1e-15)
@@ -269,12 +275,8 @@ class TestMeasureInvariances:
                 amps.t_e * complex(math.cos(ph), math.sin(ph)),
             )
             z1, z2 = random_unit(rng), random_unit(rng)
-            assert concurrence_pure_closed(amps, z1, z2) == pytest.approx(
-                concurrence_pure_closed(rot, z1, z2), abs=1e-13
-            )
-            assert concurrence_unpolarized(amps) == pytest.approx(
-                concurrence_unpolarized(rot), abs=1e-13
-            )
+            assert closed(amps, z1, z2) == pytest.approx(closed(rot, z1, z2), abs=1e-13)
+            assert closed(amps, ZERO, ZERO) == pytest.approx(closed(rot, ZERO, ZERO), abs=1e-13)
 
     def test_detector_swap(self):
         rng = np.random.default_rng(39)
@@ -282,9 +284,7 @@ class TestMeasureInvariances:
             amps = random_amps(rng)
             flipped = AmplitudePair(amps.t_e, amps.t_d)
             z1, z2 = random_unit(rng), random_unit(rng)
-            assert concurrence_pure_closed(amps, z1, z2) == pytest.approx(
-                concurrence_pure_closed(flipped, z1, z2), abs=1e-13
-            )
-            assert concurrence_unpolarized(amps) == pytest.approx(
-                concurrence_unpolarized(flipped), abs=1e-13
+            assert closed(amps, z1, z2) == pytest.approx(closed(flipped, z1, z2), abs=1e-13)
+            assert closed(amps, ZERO, ZERO) == pytest.approx(
+                closed(flipped, ZERO, ZERO), abs=1e-13
             )

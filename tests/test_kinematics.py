@@ -8,17 +8,31 @@ from e2espin.kinematics import (
     Kinematics,
     KinematicsError,
     build_coplanar,
-    tdcs_basic,
     tdcs_polarized,
     tdcs_prefactor,
 )
-from e2espin.bell import spin_asymmetry
+from e2espin.scan import observables_from_amplitudes, parse_config
 from e2espin.spin import AmplitudePair
+
+# the energies of the kinematics below: E0 = 2, E_B = 0.75, E_T = -0.5 hartree
+CORE_CFG = parse_config(
+    {"e0_ev": 2.0 * HARTREE_EV, "eb_ev": 0.75 * HARTREE_EV, "et_ev": -0.5 * HARTREE_EV}
+)
 
 
 def random_amps(rng):
     z = rng.standard_normal(4)
     return AmplitudePair(complex(z[0], z[1]), complex(z[2], z[3]))
+
+
+def random_amp_arrays(rng, n):
+    z = rng.standard_normal((4, n))
+    return z[0] + 1j * z[1], z[2] + 1j * z[3]
+
+
+def core(td, te):
+    """Observables core arrays at the CORE_CFG energies, unpolarized beams."""
+    return observables_from_amplitudes(CORE_CFG, np.atleast_1d(td), np.atleast_1d(te))
 
 
 class TestBuildCoplanar:
@@ -70,45 +84,41 @@ class TestPrefactor:
 
 
 class TestTdcsBasic:
+    """The spin-resolved TDCS parts of the observables core."""
+
     def test_equal_amplitudes_kill_parallel(self):
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.7, -0.5)
-        xs = tdcs_basic(AmplitudePair(1.3 - 0.2j, 1.3 - 0.2j), kin)
-        assert xs.i_par == 0.0
-        assert xs.i_t == 0.0
+        obs = core(1.3 - 0.2j, 1.3 - 0.2j)
+        assert obs["i_par"][0] == 0.0
+        assert obs["i_triplet"][0] == 0.0
 
     def test_antiparallel_ratio(self):
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.7, -0.5)
-        rng = np.random.default_rng(51)
-        for _ in range(100):
-            amps = random_amps(rng)
-            xs = tdcs_basic(amps, kin)
-            if xs.i_anti_e > 0:
-                assert xs.i_anti_d / xs.i_anti_e == pytest.approx(
-                    abs(amps.t_d) ** 2 / abs(amps.t_e) ** 2, rel=1e-12
-                )
+        td, te = random_amp_arrays(np.random.default_rng(51), 100)
+        obs = core(td, te)
+        np.testing.assert_allclose(
+            obs["i_anti_direct"] / obs["i_anti_exchange"], np.abs(td) ** 2 / np.abs(te) ** 2,
+            rtol=1e-12,
+        )
 
     def test_triplet_is_three_quarters_parallel(self):
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.3, -0.5)
-        rng = np.random.default_rng(52)
-        for _ in range(100):
-            xs = tdcs_basic(random_amps(rng), kin)
-            assert xs.i_t == 0.75 * xs.i_par
+        obs = core(*random_amp_arrays(np.random.default_rng(52), 100))
+        assert np.array_equal(obs["i_triplet"], 0.75 * obs["i_par"])
 
     def test_singlet_plus_triplet_is_spin_averaged(self):
         kin = build_coplanar(2.0, 0.75, 0.7, -0.3, -0.5)
-        rng = np.random.default_rng(53)
-        for _ in range(200):
-            amps = random_amps(rng)
-            xs = tdcs_basic(amps, kin)
-            avg = tdcs_polarized(amps, 0.0, kin)
-            assert xs.i_s + xs.i_t == pytest.approx(avg, rel=1e-12, abs=1e-18)
+        td, te = random_amp_arrays(np.random.default_rng(53), 200)
+        obs = core(td, te)
+        np.testing.assert_allclose(obs["i_singlet"] + obs["i_triplet"], obs["tdcs"],
+                                   rtol=1e-12, atol=1e-18)
+        for k in range(len(td)):
+            avg = tdcs_polarized(AmplitudePair(td[k], te[k]), 0.0, kin)
+            assert obs["i_singlet"][k] + obs["i_triplet"][k] == pytest.approx(
+                avg, rel=1e-12, abs=1e-18
+            )
 
     def test_nonnegative(self):
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.3, -0.5)
-        rng = np.random.default_rng(54)
-        for _ in range(500):
-            xs = tdcs_basic(random_amps(rng), kin)
-            assert min(xs.i_par, xs.i_anti_d, xs.i_anti_e, xs.i_s, xs.i_t) >= 0.0
+        obs = core(*random_amp_arrays(np.random.default_rng(54), 500))
+        for name in ("i_par", "i_anti_direct", "i_anti_exchange", "i_singlet", "i_triplet"):
+            assert np.all(obs[name] >= 0.0), name
 
 
 class TestTdcsPolarized:
@@ -117,9 +127,9 @@ class TestTdcsPolarized:
         rng = np.random.default_rng(55)
         for _ in range(100):
             amps = random_amps(rng)
-            xs = tdcs_basic(amps, kin)
+            i_anti = core(amps.t_d, amps.t_e)["i_anti"][0]
             assert tdcs_polarized(amps, -1.0, kin) == pytest.approx(
-                xs.i_anti, rel=1e-12, abs=1e-18
+                i_anti, rel=1e-12, abs=1e-18
             )
 
     def test_unpolarized_average(self):
@@ -127,9 +137,9 @@ class TestTdcsPolarized:
         rng = np.random.default_rng(56)
         for _ in range(100):
             amps = random_amps(rng)
-            xs = tdcs_basic(amps, kin)
+            obs = core(amps.t_d, amps.t_e)
             assert tdcs_polarized(amps, 0.0, kin) == pytest.approx(
-                0.5 * (xs.i_anti + xs.i_par), rel=1e-12, abs=1e-18
+                0.5 * (obs["i_anti"][0] + obs["i_par"][0]), rel=1e-12, abs=1e-18
             )
 
     def test_parallel_limit_equals_i_par(self):
@@ -138,9 +148,9 @@ class TestTdcsPolarized:
         rng = np.random.default_rng(57)
         for _ in range(500):
             amps = random_amps(rng)
-            xs = tdcs_basic(amps, kin)
+            i_par = core(amps.t_d, amps.t_e)["i_par"][0]
             assert tdcs_polarized(amps, 1.0, kin) == pytest.approx(
-                xs.i_par, rel=1e-12, abs=1e-15
+                i_par, rel=1e-12, abs=1e-15
             )
 
     def test_domain(self):
@@ -151,13 +161,8 @@ class TestTdcsPolarized:
 
 class TestCrossModuleConsistency:
     def test_asymmetry_matches_amplitude_formula(self):
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.3, -0.5)
-        rng = np.random.default_rng(58)
-        for _ in range(300):
-            amps = random_amps(rng)
-            xs = tdcs_basic(amps, kin)
-            got = spin_asymmetry(xs.i_anti, xs.i_par)
-            td, te = amps.t_d, amps.t_e
-            ab2 = abs(td) ** 2 + abs(te) ** 2
-            dd = abs(td - te) ** 2
-            assert got == pytest.approx((ab2 - dd) / (ab2 + dd), abs=1e-12)
+        td, te = random_amp_arrays(np.random.default_rng(58), 300)
+        got = core(td, te)["asymmetry"]
+        ab2 = np.abs(td) ** 2 + np.abs(te) ** 2
+        dd = np.abs(td - te) ** 2
+        np.testing.assert_allclose(got, (ab2 - dd) / (ab2 + dd), rtol=0.0, atol=1e-12)

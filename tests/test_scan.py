@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from e2espin.amplitudes import McConfig
-from e2espin.bell import bell_lhs_cross_sections, spin_asymmetry
+from e2espin.bell import TSIRELSON_BOUND, chsh_expectation
 from e2espin.entanglement import concurrence_wootters, entanglement_of_formation
-from e2espin.kinematics import build_coplanar, tdcs_basic, tdcs_polarized
+from e2espin.kinematics import build_coplanar, tdcs_prefactor
 from e2espin.scan import (
     ConfigError,
     ScanConfig,
@@ -23,7 +23,7 @@ from e2espin.scan import (
     write_csv,
     write_pgm,
 )
-from e2espin.spin import AmplitudePair, rho_mixed
+from e2espin.spin import AmplitudePair, _assemble_pair_density, _branch_kernels, rho_mixed
 
 
 def _diagonal(thetas):
@@ -210,15 +210,30 @@ CORE_SCENARIOS = [
 ]
 
 
+ZHAT = np.array([0.0, 0.0, 1.0])
+ZERO = np.zeros(3)
+PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+
+def random_grids(rng, shape=(7, 6)):
+    td = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    te = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return td, te
+
+
 class TestObservablesCore:
-    """The array core against the scalar oracles, point by point."""
+    """The array core against the density-matrix algebra, point by point.
+
+    rho~(P1, P2) is the unnormalized polarization-averaged pair matrix;
+    with the flux prefactor its trace is the TDCS for P1, P2, and its
+    entries and projections are the spin-resolved parts.
+    """
 
     @pytest.mark.parametrize("data", CORE_SCENARIOS, ids=lambda d: d["scenario"])
     def test_matches_scalar_oracles(self, data):
         cfg = parse_config(data)
         rng = np.random.default_rng(31)
-        td = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
-        te = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+        td, te = random_grids(rng)
         td[0, :3] = te[0, :3] = 0.0  # dead points, as at coincident 3C momenta
         a = rng.standard_normal((7, 6, 4, 4))
         covs = a @ np.swapaxes(a, -1, -2)
@@ -230,30 +245,48 @@ class TestObservablesCore:
             assert np.all(value[0, :3] == 0), name
         p1, p2 = resolve_polarizations(cfg)
         e0, eb, et = cfg.energies_hartree()
-        kin = build_coplanar(e0, eb, 0.3, -1.1, et)
+        pref = tdcs_prefactor(build_coplanar(e0, eb, 0.3, -1.1, et))
+        kernels = {
+            "scenario": _branch_kernels(p1, p2),
+            "parallel": _branch_kernels(ZHAT, ZHAT),
+            "antiparallel": _branch_kernels(ZHAT, -ZHAT),
+            "unpolarized": _branch_kernels(ZERO, ZERO),
+        }
         for i, j in np.ndindex(td.shape):
             if i == 0 and j < 3:
                 continue
-            amps = AmplitudePair(complex(td[i, j]), complex(te[i, j]))
-            xs = tdcs_basic(amps, kin)
+            rho = {key: _assemble_pair_density(td[i, j], te[i, j], *k)
+                   for key, k in kernels.items()}
+            singlet = (PSI_MINUS @ rho["unpolarized"] @ PSI_MINUS).real
             for name, want in (
-                ("tdcs", tdcs_polarized(amps, float(p1 @ p2), kin)),
-                ("i_par", xs.i_par),
-                ("i_anti", xs.i_anti),
-                ("i_anti_direct", xs.i_anti_d),
-                ("i_anti_exchange", xs.i_anti_e),
-                ("i_singlet", xs.i_s),
-                ("i_triplet", xs.i_t),
+                ("tdcs", np.trace(rho["scenario"]).real),
+                ("i_par", np.trace(rho["parallel"]).real),
+                ("i_anti", np.trace(rho["antiparallel"]).real),
+                ("i_anti_direct", rho["antiparallel"][1, 1].real),
+                ("i_anti_exchange", rho["antiparallel"][2, 2].real),
+                ("i_singlet", singlet),
+                ("i_triplet", np.trace(rho["unpolarized"]).real - singlet),
             ):
-                assert obs[name][i, j] == pytest.approx(want, rel=1e-10, abs=0.0), name
+                assert obs[name][i, j] == pytest.approx(pref * want, rel=1e-10, abs=0.0), name
+            amps = AmplitudePair(complex(td[i, j]), complex(te[i, j]))
             woot = concurrence_wootters(rho_mixed(amps, p1, p2))
             for name, want in (
-                ("bell_lhs", bell_lhs_cross_sections(xs.i_anti, xs.i_par, p1, p2)),
-                ("asymmetry", spin_asymmetry(xs.i_anti, xs.i_par)),
+                ("bell_lhs", chsh_expectation(rho_mixed(amps, p1, p2)) / TSIRELSON_BOUND),
+                ("asymmetry", chsh_expectation(rho_mixed(amps, ZHAT, ZERO)) / TSIRELSON_BOUND),
                 ("concurrence", woot),
                 ("eof", entanglement_of_formation(woot)),
             ):
                 assert abs(obs[name][i, j] - want) <= 1e-10, name
+
+    def test_unpolarized_concurrence_is_measurable_form(self):
+        """C = max(0, (I_S - I_T)/(I_S + I_T)) from the core's own arrays."""
+        td, te = random_grids(np.random.default_rng(33), (40, 50))
+        td[:5] = te[:5] * np.exp(0.1j * np.arange(5))[:, None]  # t_d ~ t_e: singlet-dominated
+        obs = observables_from_amplitudes(parse_config({}), td, te)
+        i_s, i_t = obs["i_singlet"], obs["i_triplet"]
+        form = np.maximum(0.0, (i_s - i_t) / (i_s + i_t))
+        assert np.count_nonzero(form) > 100
+        np.testing.assert_allclose(obs["concurrence"], form, rtol=0.0, atol=1e-12)
 
 
 class TestRunScanC3:
