@@ -58,7 +58,7 @@ from .scan import (
     write_csv,
     write_pgm,
 )
-from .special import ConvergenceError, coulomb_norm, kummer_1f1, ln_gamma
+from .special import Coulomb1F1Table, ConvergenceError, coulomb_norm, kummer_1f1, ln_gamma
 from .spin import (
     BELL_TO_PRODUCT,
     PAULI,

@@ -46,11 +46,14 @@ conjugated Coulomb waves at r1 and at r2, and the e-e relative
 momentum.  ``c3_pair`` counts non-finite weights as zeros and sums the
 blocks with ``math.fsum``.
 
-Every wave with the same xi goes into one ``kummer_1f1`` call, r1-waves
-first, each in variant-major order.  Such a batch is never split: the
-series stops when its whole batch has converged, so near |z| = 21 a
-value depends on its batch (by up to ~1e-8 relative), and exact
-t_d == t_e in symmetric kinematics needs both waves in one batch.
+Every 1F1 factor has the form 1F1(i*alpha; 1; i*x) with real x >= 0, so
+the kernel reads it from a ``Coulomb1F1Table``: one per distinct wave
+|k| (alpha = Z/|k|) on [0, 2|k| r_max] and one for the correlation
+factor (alpha = -1/(2|k_ab|)) on [0, 4|k_ab| r_max].  These ranges hold
+every argument inside the r_max ball; the zero-weight samples outside it
+are clamped into the table.  A table value depends only on its own
+argument, so bitwise-equal momenta in the paired variants of symmetric
+kinematics give exactly t_d == t_e, however the samples are batched.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, point_key, block index), so the estimate is a pure function of
@@ -68,7 +71,11 @@ import numpy as np
 
 from .amplitudes import McConfig
 from .kinematics import Kinematics
-from .special import coulomb_norm, kummer_1f1
+from .special import Coulomb1F1Table, coulomb_norm
+# The tables call kummer_1f1 inside special.  The name stays importable
+# here because bench/test_smoke.py checks that bench/tracing.py wraps it
+# where c3mc looks it up; drop it when the benchmark next changes.
+from .special import kummer_1f1  # noqa: F401
 
 __all__ = ["PairEstimate", "c3_pair", "BLOCK_SIZE"]
 
@@ -172,6 +179,17 @@ def _draw(cfg: McConfig, point_key: int, block: int, n: int):
         return r1, r1mag, r2, r2mag, p1 * p2
 
 
+def _coulomb_tables(kmags, kab_mag: float, r_max: float):
+    """The 1F1 tables of one kernel: the waves by |k|, and the correlation factor.
+
+    Each covers the arguments of the r_max ball: |k||r| + k.r <= 2|k| r_max
+    for a wave, |k_ab||r12| + k_ab.r12 <= 4|k_ab| r_max with |r12| <= 2 r_max.
+    """
+    waves = {kmag: Coulomb1F1Table(1.0 / kmag, 2.0 * kmag * r_max)
+             for kmag in dict.fromkeys(kmags)}
+    return waves, Coulomb1F1Table(-0.5 / kab_mag, 4.0 * kab_mag * r_max)
+
+
 def _kernel(kin: Kinematics, cfg: McConfig):
     """The weight kernel of the mirror-symmetrized 3C integrand at ``kin``.
 
@@ -181,7 +199,6 @@ def _kernel(kin: Kinematics, cfg: McConfig):
     """
     r_max = float(cfg.r_max)
     z_eff = 0.0 if cfg.debug_free_limit else 1.0  # Z = 0 leaves plane waves
-    use_corr = not cfg.debug_free_limit
     k0, k_a, k_b = kin.k0, kin.k_a, kin.k_b
     n_hat = _mirror_normal(k_a, k_b)
     mk0, mk_a, mk_b = (k - (2.0 * float(k @ n_hat)) * n_hat for k in (k0, k_a, k_b))
@@ -201,13 +218,17 @@ def _kernel(kin: Kinematics, cfg: McConfig):
     # |k| by (position, variant); xi = -Z/|k|, so equal |k| means equal xi
     kmags = np.array([[kmag for _, kmag in col] for col in (at_r1, at_r2)])
 
+    # reflection and overall sign leave |kab| the same in every row
+    kab_mag = math.sqrt(float(kabs[0] @ kabs[0]))
+    if cfg.debug_free_limit:
+        waves, corr = {}, None
+    else:
+        waves, corr = _coulomb_tables((kmag_a, kmag_b), kab_mag, r_max)
+
     # conjugated normalization factors; one overall scalar for all rows
     scale = np.conj(coulomb_norm(-z_eff / kmag_a)) * np.conj(coulomb_norm(-z_eff / kmag_b))
-    if use_corr:
-        # reflection and overall sign leave |kab| the same in every row
-        kab_mag = math.sqrt(float(kabs[0] @ kabs[0]))
-        xi_ab = 0.5 / kab_mag
-        scale *= np.conj(coulomb_norm(xi_ab))
+    if corr is not None:
+        scale *= np.conj(coulomb_norm(0.5 / kab_mag))
 
     def weigh(r1, r1mag, r2, r2mag, density):
         n = len(r1mag)
@@ -223,24 +244,23 @@ def _kernel(kin: Kinematics, cfg: McConfig):
             # plane-wave phases: beam at r1 and conjugated waves at r1, r2
             g = np.exp(1j * np.stack([r1 @ k - r1 @ k1 - r2 @ k2
                                       for k, (k1, *_), (k2, *_), _ in table]))
-            if z_eff != 0.0:
+            if waves:
                 # 1F1 arguments |k||r| + k.r by (position, variant, sample);
-                # one flat kummer_1f1 call per xi (see the module docstring)
+                # one flat table evaluation per xi, r1-waves first
                 x = np.stack([[kmag * rmag + r @ k for k, kmag in col]
                               for r, rmag, col in ((r1, r1mag, at_r1), (r2, r2mag, at_r2))])
                 f = np.empty(x.shape, dtype=complex)
-                for kmag in dict.fromkeys(kmags.flat):
+                for kmag, wave in waves.items():
                     batch = kmags == kmag
-                    z = 1j * x[batch].ravel()
-                    f[batch] = kummer_1f1(complex(0.0, z_eff / kmag), 1.0, z).reshape(-1, n)
+                    f[batch] = wave.evaluate(x[batch].ravel()).reshape(-1, n)
                 # the r1-wave stays the left factor: complex multiply is not
                 # bitwise commutative under FMA, and exact exchange symmetry
                 # needs the same operand order in paired variants
                 g = g * (f[0] * f[1])
-            if use_corr:
+            if corr is not None:
                 rc = kab_mag * r12mag
                 args_c = np.concatenate([rc + r12 @ kab for kab in kabs])
-                g = g * kummer_1f1(complex(0.0, -xi_ab), 1.0, 1j * args_c).reshape(4, n)
+                g = g * corr.evaluate(args_c).reshape(4, n)
 
             inv_p = (0.5 * common) / density
             w = (g[0::2] + g[1::2]) * inv_p

@@ -21,10 +21,28 @@ where the cancellation noise of the series meets the optimal
 truncation floor of the asymptotic sums: a few 1e-9 for |a| <= 1, a
 few 1e-8 for |a| ~ 2, and 1e-10 or better elsewhere for |z| <= 50.
 Arguments up to |z| ~ 500 are handled by the asymptotic branch at
-essentially machine precision.
+essentially machine precision.  The series stops when its whole batch
+has converged, so near |z| = 21 a value depends on its batch by up to
+~1e-8 relative.
 
-``z`` may be a scalar or a numpy array in all functions.  Nothing here
-keeps mutable state, so concurrent calls are safe.
+``Coulomb1F1Table`` tabulates the Coulomb case x -> 1F1(i*alpha; 1; i*x)
+for real x in [0, x_max]: a piecewise Chebyshev fit of degree
+``_TABLE_DEGREE`` on segments of width at most ``_TABLE_WIDTH`` /
+max(1, |alpha|), built from one batched ``kummer_1f1`` call on twice as
+many Chebyshev nodes per segment as coefficients and evaluated by
+Clenshaw's recurrence.  Its truncation error, about 1e-11 relative, is
+far below the series noise of ``kummer_1f1``, which the projection onto
+the lower degree averages down.  So against mpmath its worst error over
+[0, x_max] is no worse than that of ``kummer_1f1`` at the same points:
+2.0e-9 against 3.6e-9 at alpha = 0.62 and 4.5e-8 against 7.5e-8 at
+alpha = 2, both at the switch radius.  Where the error of ``kummer_1f1``
+is the smooth truncation of its asymptotic sums (alpha = -2) the table
+reproduces it, and both read 2.2e-8.  A table value depends only on its
+own argument, never on its batch.
+
+``z`` (``x`` for the table) may be a scalar or a numpy array in all
+functions.  Nothing here keeps mutable state, so concurrent calls are
+safe.
 """
 
 from __future__ import annotations
@@ -34,7 +52,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ConvergenceError", "ln_gamma", "kummer_1f1", "coulomb_norm"]
+__all__ = ["ConvergenceError", "ln_gamma", "kummer_1f1", "Coulomb1F1Table", "coulomb_norm"]
 
 
 class ConvergenceError(ArithmeticError):
@@ -68,6 +86,12 @@ _LN_PI = math.log(math.pi)
 _Z_SWITCH = 21.0
 _MAX_TERMS = 10_000
 _ASYM_TERMS = 80
+
+# Coulomb 1F1 table: polynomial degree per segment, widest segment, and
+# arguments per evaluation chunk (sized to keep the buffers in cache)
+_TABLE_DEGREE = 8
+_TABLE_WIDTH = 1.0
+_TABLE_CHUNK = 16384
 
 
 def _is_nonpositive_integer(w: complex) -> bool:
@@ -255,6 +279,80 @@ def kummer_1f1(a, b, z, *, max_terms: int = _MAX_TERMS):
     if scalar:
         return complex(out[0])
     return out.reshape(arr.shape)
+
+
+class Coulomb1F1Table:
+    """x -> 1F1(i*alpha; 1; i*x) on [0, x_max] as a piecewise Chebyshev table.
+
+    The segments have width at most ``_TABLE_WIDTH`` / max(1, |alpha|):
+    the function oscillates with unit frequency far out and varies on the
+    scale 1/|alpha| near x = 0.  Each segment's coefficients are the
+    Chebyshev projection of ``kummer_1f1`` values at 2 (degree + 1)
+    first-kind nodes, all computed in one batched call.  The table is
+    read-only after construction, so threads may share it.
+    """
+
+    def __init__(self, alpha: float, x_max: float):
+        alpha = float(alpha)
+        x_max = float(x_max)
+        if not math.isfinite(alpha):
+            raise ValueError(f"Coulomb1F1Table requires finite alpha, got {alpha}")
+        if not (math.isfinite(x_max) and x_max > 0.0):
+            raise ValueError(f"Coulomb1F1Table requires finite x_max > 0, got {x_max}")
+        self.alpha = alpha
+        self.x_max = x_max
+        n_seg = math.ceil(x_max * max(1.0, abs(alpha)) / _TABLE_WIDTH)
+        self._n_seg = n_seg
+        self._inv_width = n_seg / x_max
+        m = 2 * (_TABLE_DEGREE + 1)
+        theta = math.pi * (np.arange(m) + 0.5) / m
+        left = np.arange(n_seg) * (x_max / n_seg)
+        x = left[:, None] + (0.5 * x_max / n_seg) * (1.0 + np.cos(theta))
+        f = kummer_1f1(complex(0.0, alpha), 1.0, 1j * x.ravel()).reshape(n_seg, m)
+        coef = (2.0 / m) * (f @ np.cos(np.outer(np.arange(_TABLE_DEGREE + 1), theta)).T)
+        coef[:, 0] *= 0.5
+        # (degree, re/im, segment): one gather per Clenshaw step
+        self._coef = np.ascontiguousarray(np.stack([coef.real.T, coef.imag.T], axis=1))
+
+    def evaluate(self, x) -> np.ndarray:
+        """1F1(i*alpha; 1; i*x) at real ``x``, clamped into [0, x_max].
+
+        Returns a complex array of the shape of ``x``.  Each value depends
+        only on its own argument, so bitwise-equal arguments give
+        bitwise-equal values; a NaN argument gives a NaN value.
+        """
+        flat = np.asarray(x, dtype=float).reshape(-1)
+        out = np.empty(flat.shape, dtype=complex)
+        parts = out.view(float).reshape(-1, 2)
+        coef = self._coef
+        for start in range(0, len(flat), _TABLE_CHUNK):
+            u = np.clip(flat[start:start + _TABLE_CHUNK], 0.0, self.x_max)
+            u *= self._inv_width
+            with np.errstate(invalid="ignore"):  # NaN: any segment, NaN value
+                seg = u.astype(np.intp)
+            np.minimum(seg, self._n_seg - 1, out=seg)
+            # 2t, with t in [-1, 1] the position inside the segment
+            u -= seg
+            u *= 4.0
+            u -= 2.0
+            # Clenshaw: b_k = c_k + 2t b_{k+1} - b_{k+2}, real and imaginary
+            # parts as the two rows
+            b1 = np.take(coef[_TABLE_DEGREE], seg, axis=1, mode="clip")
+            b2 = np.zeros_like(b1)
+            ck = np.empty_like(b1)
+            for k in range(_TABLE_DEGREE - 1, 0, -1):
+                np.take(coef[k], seg, axis=1, mode="clip", out=ck)
+                ck -= b2
+                np.multiply(u, b1, out=b2)
+                b2 += ck
+                b1, b2 = b2, b1
+            u *= 0.5
+            np.take(coef[0], seg, axis=1, mode="clip", out=ck)
+            ck -= b2
+            np.multiply(u, b1, out=b2)
+            b2 += ck
+            parts[start:start + _TABLE_CHUNK] = b2.T
+        return out.reshape(np.shape(x))
 
 
 def coulomb_norm(xi: float) -> complex:

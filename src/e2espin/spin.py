@@ -25,6 +25,7 @@ and enter only through the statistically averaged density matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -183,12 +184,20 @@ def _branch_kernels(p1, p2):
     The unnormalized averaged pair matrix is
         |t_d|^2 K1 + |t_e|^2 K2 - t_d t_e* K3 - t_d* t_e K3^dag,
     summed over the four (+-zeta1, +-zeta2) ensemble branches with
-    weights (1 +- P1)(1 +- P2)/4.
+    weights (1 +- P1)(1 +- P2)/4.  The kernels are built once per
+    polarization pair and returned read-only.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if p1.shape != (3,) or p2.shape != (3,):
         raise ValueError("polarization vectors must be 3-vectors")
+    return _kernels_for(tuple(p1.tolist()), tuple(p2.tolist()))
+
+
+@functools.lru_cache(maxsize=256)
+def _kernels_for(p1: tuple, p2: tuple):
+    p1 = np.array(p1)
+    p2 = np.array(p2)
     m1 = float(np.linalg.norm(p1))
     m2 = float(np.linalg.norm(p2))
     if m1 > 1.0 + 1e-12 or m2 > 1.0 + 1e-12:
@@ -206,12 +215,13 @@ def _branch_kernels(p1, p2):
                 continue
             chi = spinor_from_polarization(s1 * u1)
             eta = spinor_from_polarization(s2 * u2)
-            va = np.kron(chi, eta)
-            vb = np.kron(eta, chi)
+            # the product-basis vectors chi (x) eta and eta (x) chi
+            va = np.outer(chi, eta).ravel()
+            vb = np.outer(eta, chi).ravel()
             k1 += w * np.outer(va, va.conj())
             k2 += w * np.outer(vb, vb.conj())
             k3 += w * np.outer(va, vb.conj())
-    return k1, k2, k3
+    return _freeze(k1), _freeze(k2), _freeze(k3)
 
 
 def _assemble_pair_density(td, te, k1, k2, k3) -> np.ndarray:

@@ -12,12 +12,19 @@ from e2espin.amplitudes import (
     hydrogen_1s_position,
 )
 from e2espin.kinematics import HARTREE_EV, build_coplanar
+from e2espin.scan import parse_config
+from e2espin.special import kummer_1f1
 
 E0, ET, EB = 2.0, -0.5, 0.75
 
 
 def kin_at(theta_a_deg, theta_b_deg, eb=EB):
     return build_coplanar(E0, eb, math.radians(theta_a_deg), math.radians(theta_b_deg), ET)
+
+
+# the benchmark's 3C point: 54.4 eV, a 5 eV slow electron, two wave xi
+C3_POINT = build_coplanar(54.4 / HARTREE_EV, 5.0 / HARTREE_EV, math.radians(20.0),
+                          math.radians(-60.0), -13.605693 / HARTREE_EV)
 
 
 class TestDeterminism:
@@ -111,26 +118,26 @@ class TestEdgeCases:
     def test_rejection_accounting_error(self, monkeypatch):
         # poison a fraction of the integrand evaluations and make sure the
         # estimator refuses to report
-        real = c3mc.kummer_1f1
+        real = c3mc.Coulomb1F1Table.evaluate
 
-        def poisoned(a, b, z, **kw):
-            out = np.asarray(real(a, b, z, **kw)).copy()
+        def poisoned(self, x):
+            out = np.asarray(real(self, x)).copy()
             out[:: 50] = complex(math.nan, math.nan)
             return out
 
-        monkeypatch.setattr(c3mc, "kummer_1f1", poisoned)
+        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", poisoned)
         with pytest.raises(ArithmeticError, match="rejected"):
             c3mc.c3_pair(kin_at(45.0, -60.0), McConfig(samples=5_000, seed=3))
 
     def test_small_rejection_is_counted_not_fatal(self, monkeypatch):
-        real = c3mc.kummer_1f1
+        real = c3mc.Coulomb1F1Table.evaluate
 
-        def rarely_poisoned(a, b, z, **kw):
-            out = np.asarray(real(a, b, z, **kw)).copy()
+        def rarely_poisoned(self, x):
+            out = np.asarray(real(self, x)).copy()
             out[::30001] = complex(math.nan, math.nan)
             return out
 
-        monkeypatch.setattr(c3mc, "kummer_1f1", rarely_poisoned)
+        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", rarely_poisoned)
         est = c3mc.c3_pair(kin_at(45.0, -60.0), McConfig(samples=60_000, seed=3))
         assert 0 < est.n_rejected <= 0.001 * 60_000
 
@@ -154,20 +161,20 @@ class TestRejection:
         # sums over the same full budget, not a mean over the survivors
         kin = kin_at(45.0, -60.0)
         cfg = McConfig(samples=2_000, seed=6)
-        real = c3mc.kummer_1f1
+        real = c3mc.Coulomb1F1Table.evaluate
 
         def spoiled(fill):
-            def kummer(a, b, z):
-                out = np.array(real(a, b, z), copy=True)
+            def evaluate(self, x):
+                out = np.array(real(self, x), copy=True)
                 for k in range(4):
                     for s in (17, 1234):
                         out[k * 2000 + s] = fill
                 return out
-            return kummer
+            return evaluate
 
-        monkeypatch.setattr(c3mc, "kummer_1f1", spoiled(np.nan))
+        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", spoiled(np.nan))
         rejected = c3mc.c3_pair(kin, cfg)
-        monkeypatch.setattr(c3mc, "kummer_1f1", spoiled(0.0))
+        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", spoiled(0.0))
         zeroed = c3mc.c3_pair(kin, cfg)
         assert rejected.n_rejected == 2
         assert zeroed.n_rejected == 0
@@ -204,8 +211,7 @@ class TestIntegrandOracle:
             kin_at(45.0, -60.0),
             kin_at(20.0, -60.0, eb=0.3),  # unequal sharing: two wave xi
             kin_at(40.0, -40.0),  # symmetric
-            build_coplanar(54.4 / HARTREE_EV, 5.0 / HARTREE_EV, math.radians(20.0),
-                           math.radians(-60.0), -13.605693 / HARTREE_EV),
+            C3_POINT,
         ],
         ids=["equal", "unequal", "symmetric", "c3_point"],
     )
@@ -242,3 +248,75 @@ class TestIntegrandOracle:
         w = c3mc._kernel(kin_at(45.0, -60.0), cfg)(r1, r1mag, r2, r2mag, np.ones(2))
         assert np.all(w == 0.0)
 
+
+
+def tables_for(kin, r_max):
+    """The kernel's 1F1 tables at ``kin``: |kA|, |kB| and |kA - kB|/2."""
+    kab = 0.5 * (kin.k_a - kin.k_b)
+    kmags = (math.sqrt(float(kin.k_a @ kin.k_a)), math.sqrt(float(kin.k_b @ kin.k_b)))
+    return c3mc._coulomb_tables(kmags, math.sqrt(float(kab @ kab)), r_max)
+
+
+def c3_scan_kin(theta_a_deg, theta_b_deg):
+    e0, eb, et = parse_config({"model": "c3", "e0_ev": 54.4}).energies_hartree()
+    return build_coplanar(e0, eb, math.radians(theta_a_deg), math.radians(theta_b_deg), et)
+
+
+TABLE_KINEMATICS = pytest.mark.parametrize(
+    "kin",
+    [kin_at(45.0, -60.0), kin_at(20.0, -60.0, eb=0.3), kin_at(40.0, -40.0), C3_POINT,
+     c3_scan_kin(-30.0, 90.0)],
+    ids=["equal", "unequal", "symmetric", "c3_point", "c3_scan"],
+)
+
+
+class TestCoulombTables:
+    # kummer_1f1's own series noise near |z| = 21 is a few 1e-9 for |xi| <= 1
+    # and ~1e-8 for |xi| ~ 1.3 (special.py); the worst seen here is 2.1e-8
+    RTOL = 5e-8
+
+    @TABLE_KINEMATICS
+    def test_table_matches_kummer_over_its_range(self, kin):
+        waves, corr = tables_for(kin, McConfig().r_max)
+        for table in (*waves.values(), corr):
+            x = np.linspace(0.0, table.x_max, 4001)
+            direct = kummer_1f1(1j * table.alpha, 1.0, 1j * x)
+            assert np.all(np.abs(table.evaluate(x) - direct) <= self.RTOL * np.abs(direct))
+
+    @TABLE_KINEMATICS
+    def test_largest_in_ball_argument_is_inside_the_table(self, kin):
+        # r1 and r2 at r_max along -k and +k give |k||r| + k.r = 2|k| r_max
+        # for the waves and |kab||r12| + kab.r12 = 4|kab| r_max for the
+        # correlation factor, as the kernel forms them
+        r_max = McConfig().r_max
+        waves, corr = tables_for(kin, r_max)
+        kab = 0.5 * (kin.k_a - kin.k_b)
+        for k, table in ((kin.k_a, waves[math.sqrt(float(kin.k_a @ kin.k_a))]),
+                         (kin.k_b, waves[math.sqrt(float(kin.k_b @ kin.k_b))])):
+            kmag = math.sqrt(float(k @ k))
+            r = (r_max / kmag) * k
+            largest = kmag * r_max + r @ k
+            assert largest <= table.x_max * (1.0 + 1e-15)
+        kab_mag = math.sqrt(float(kab @ kab))
+        r12 = (r_max / kab_mag) * kab - (-(r_max / kab_mag) * kab)
+        largest = kab_mag * math.sqrt(float(r12 @ r12)) + r12 @ kab
+        assert largest <= corr.x_max * (1.0 + 1e-15)
+        direct = kummer_1f1(1j * corr.alpha, 1.0, 1j * largest)
+        assert abs(corr.evaluate(largest) - direct) <= self.RTOL * abs(direct)
+
+    def test_pair_matches_a_kummer_backed_evaluator(self, monkeypatch):
+        # a fixed-seed estimate from the tables against the same samples
+        # weighed with direct kummer_1f1 calls
+        cfg = McConfig(samples=20_000, seed=12)
+        table = c3mc.c3_pair(C3_POINT, cfg)
+
+        def direct(self, x):
+            return kummer_1f1(1j * self.alpha, 1.0, 1j * np.clip(x, 0.0, self.x_max))
+
+        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", direct)
+        oracle = c3mc.c3_pair(C3_POINT, cfg)
+        assert table.n_rejected == oracle.n_rejected == 0
+        diff = np.array([(table.t_d - oracle.t_d).real, (table.t_d - oracle.t_d).imag,
+                         (table.t_e - oracle.t_e).real, (table.t_e - oracle.t_e).imag])
+        sigma = np.sqrt(np.diag(table.cov))
+        assert np.all(np.abs(diff) <= 1e-3 * sigma)

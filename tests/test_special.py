@@ -1,10 +1,12 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from e2espin.special import (
+    Coulomb1F1Table,
     ConvergenceError,
     _asymptotic_1f1,
     _maclaurin_1f1,
@@ -147,6 +149,60 @@ class TestKummer1F1:
     def test_term_budget_exceeded(self):
         with pytest.raises(ConvergenceError, match=r"\|z\|"):
             kummer_1f1(0.5j, 1.0, 15.0j, max_terms=5)
+
+
+class TestCoulomb1F1Table:
+    @pytest.mark.parametrize(
+        "alpha, x_max",
+        [
+            (1 / 1.622, 45.4),  # c3_point waves (fast and slow) and correlation factor
+            (1 / 0.606, 17.0),
+            (-0.614, 45.6),
+            (0.816, 34.3),  # 54.4 eV equal-sharing wave
+            (1.291, 21.7),  # the unequal-sharing oracle kinematics
+            (-0.515, 54.4),
+            (2.0, 30.0),
+        ],
+    )
+    def test_no_worse_than_kummer_against_mpmath(self, alpha, x_max):
+        # the worst errors of both sit in the band around the series /
+        # asymptotic switch at |z| = 21, so half the points go there
+        rng = np.random.default_rng(17)
+        x = np.concatenate([rng.uniform(0.0, x_max, 100), rng.uniform(20.0, 22.0, 100)])
+        x = x[x <= x_max]
+        with mpmath.workdps(30):
+            exact = np.array([complex(mpmath.hyp1f1(1j * alpha, 1, 1j * float(v))) for v in x])
+        err_kummer = np.abs(kummer_1f1(1j * alpha, 1.0, 1j * x) - exact) / np.abs(exact)
+        err_table = np.abs(Coulomb1F1Table(alpha, x_max).evaluate(x) - exact) / np.abs(exact)
+        assert err_table.max() <= err_kummer.max()
+
+    def test_values_do_not_depend_on_the_batch(self):
+        # kummer_1f1's series stops on its whole batch; the table is elementwise
+        table = Coulomb1F1Table(0.8165, 34.3)
+        x = np.random.default_rng(3).uniform(0.0, 34.3, 5000)
+        batch = table.evaluate(x)
+        alone = np.array([complex(table.evaluate(x[i:i + 1])[0]) for i in range(0, 5000, 37)])
+        assert np.array_equal(batch[::37], alone)
+        assert np.array_equal(table.evaluate(x[::-1])[::-1], batch)
+
+    def test_clamps_into_its_range(self):
+        table = Coulomb1F1Table(-0.6, 20.0)
+        out = table.evaluate(np.array([-1e-12, 0.0, 20.0, 20.0 + 1e-9, math.inf]))
+        assert out[0] == out[1] and out[2] == out[3] == out[4]
+        assert abs(out[1] - 1.0) <= 1e-11
+        assert np.isnan(table.evaluate(np.array([math.nan]))).all()
+
+    def test_shape(self):
+        table = Coulomb1F1Table(0.5, 10.0)
+        assert table.evaluate(np.ones((2, 3))).shape == (2, 3)
+        assert table.evaluate(3.0).shape == ()
+        assert table.evaluate(3.0) == pytest.approx(kummer_1f1(0.5j, 1.0, 3.0j), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha, x_max", [(math.nan, 1.0), (0.5, 0.0), (0.5, -1.0),
+                                              (0.5, math.inf), (0.5, math.nan)])
+    def test_rejects_bad_parameters(self, alpha, x_max):
+        with pytest.raises(ValueError):
+            Coulomb1F1Table(alpha, x_max)
 
 
 class TestCoulombNorm:

@@ -5,6 +5,7 @@ import pytest
 
 from e2espin.spin import (
     BELL_TO_PRODUCT,
+    _branch_kernels,
     AmplitudePair,
     DegenerateStateError,
     SpinDensityMatrix,
@@ -196,6 +197,46 @@ class TestRhoMixed:
     def test_overlong_polarization_rejected(self):
         with pytest.raises(ValueError):
             rho_mixed(AmplitudePair(1.0, 0.5), 1.2 * ZHAT, ZHAT)
+
+
+def kron_branch_kernels(p1, p2):
+    """The branch kernels built from np.kron on every call (reference)."""
+    m1, m2 = float(np.linalg.norm(p1)), float(np.linalg.norm(p2))
+    u1 = p1 / m1 if m1 > 0.0 else ZHAT
+    u2 = p2 / m2 if m2 > 0.0 else ZHAT
+    k = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
+    for s1 in (1.0, -1.0):
+        for s2 in (1.0, -1.0):
+            w = 0.25 * (1.0 + s1 * m1) * (1.0 + s2 * m2)
+            if w == 0.0:
+                continue
+            chi = spinor_from_polarization(s1 * u1)
+            eta = spinor_from_polarization(s2 * u2)
+            va, vb = np.kron(chi, eta), np.kron(eta, chi)
+            k[0] += w * np.outer(va, va.conj())
+            k[1] += w * np.outer(vb, vb.conj())
+            k[2] += w * np.outer(va, vb.conj())
+    return k
+
+
+class TestBranchKernels:
+    def test_cached_kernels_equal_the_kron_loop_bitwise(self):
+        rng = np.random.default_rng(21)
+        pairs = [(np.zeros(3), np.zeros(3)), (ZHAT, -ZHAT), (XHAT, np.zeros(3))]
+        pairs += [(rng.uniform(0.0, 1.0) * random_unit(rng), random_unit(rng)) for _ in range(50)]
+        for p1, p2 in pairs:
+            for _ in range(2):  # built, then from the cache
+                for got, ref in zip(_branch_kernels(p1, p2), kron_branch_kernels(p1, p2)):
+                    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_kernels_are_built_once_and_read_only(self):
+        p1, p2 = 0.4 * XHAT, -0.7 * ZHAT
+        first = _branch_kernels(p1, p2)
+        again = _branch_kernels(list(p1), tuple(p2))
+        assert all(a is b for a, b in zip(first, again))
+        for k in first:
+            with pytest.raises(ValueError):
+                k[0, 0] = 1.0
 
 
 class TestReducedDensity:
