@@ -47,10 +47,9 @@ class McConfig:
     """Budget and sampling parameters of the 3C Monte Carlo estimator.
 
     samples: per-amplitude sample count (>= 1000 for any reported
-    estimate).  lambda1 sets the rate of the exponential component of
-    the projectile-coordinate density; r_max bounds both radial
-    integrals (the bound-state weight makes the r2 tail negligible, and
-    the r1 integrand is smoothly tapered toward r_max, see ``c3mc``).
+    estimate).  r_max bounds both radial integrals (the bound-state
+    weight makes the r2 tail negligible, and the r1 integrand is
+    smoothly tapered toward r_max, see ``c3mc``).
     With debug_free_limit the continuum distortions are evaluated at
     Z = 0 and the correlation factor is replaced by unity, which makes
     the integral exactly computable for cross-checks.
@@ -58,7 +57,6 @@ class McConfig:
 
     samples: int = 200_000
     seed: int = 0
-    lambda1: float = 1.0
     r_max: float = 14.0
     debug_free_limit: bool = False
 
@@ -69,8 +67,6 @@ class McConfig:
             raise ValueError(f"mc seed must be nonnegative, got {self.seed}")
         if int(self.seed) >= 2**64:  # the Philox key holds 64 bits of seed
             raise ValueError(f"mc seed must be below 2**64, got {self.seed}")
-        if not 0.0 < self.lambda1 < math.inf:
-            raise ValueError(f"mc lambda1 must be positive and finite, got {self.lambda1}")
         if not 0.0 < self.r_max < math.inf:
             raise ValueError(f"mc r_max must be positive and finite, got {self.r_max}")
         return self

@@ -55,16 +55,21 @@ are clamped into the table.  A table value depends only on its own
 argument, so bitwise-equal momenta in the paired variants of symmetric
 kinematics give exactly t_d == t_e, however the samples are batched.
 
-Randomness comes from counter-based Philox streams keyed by
-(seed, point_key, block index), so the estimate is a pure function of
-the configuration no matter how blocks are scheduled.  Accumulation is
-per block with a fixed reduction order, giving bit-identical results
-run to run.
+Randomness comes from counter-based Philox streams keyed by the seed and
+a blake2b word of the physical point: e0, e_t (exact float64) and the
+unordered pair {(e_a, theta_A), (e_b, theta_B)}, angles in integer
+micro-degrees wrapped into (-180, 180]; the block index is the top word
+of the counter.  An estimate is thus a pure function of (config,
+physical point, seed), and relabeling the electrons swaps t_d and t_e
+exactly.  Blocks are reduced in a fixed order, so reruns give the same
+bits.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +86,7 @@ __all__ = ["PairEstimate", "c3_pair", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 65536
 _DRAWS = 10  # uniforms consumed per sample; fixed for stream stability
+_LAMBDA1 = 1.0  # rate of the exponential projectile component
 _LAMBDA2 = 1.0
 _MAX_REJECT_FRACTION = 1e-3
 _TWO_PI = 2.0 * math.pi
@@ -120,9 +126,20 @@ class PairEstimate:
         return math.sqrt(max(0.0, float(self.cov[3, 3])))
 
 
-def _philox_key(seed: int, point_key: int, block: int) -> np.ndarray:
-    word = ((int(point_key) << 20) | int(block)) & 0xFFFFFFFFFFFFFFFF
-    return np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
+def _micro_degrees(theta: float) -> int:
+    """An angle in radians as integer micro-degrees in (-180, 180] degrees."""
+    turn = 360_000_000
+    m = round(math.degrees(theta) * 1e6) % turn
+    return m - turn if m > turn // 2 else m
+
+
+def _stream_word(kin: Kinematics) -> int:
+    """The 64-bit Philox key word of ``kin``'s physical point (not salted)."""
+    electrons = sorted([(kin.e_a, _micro_degrees(kin.theta_a)),
+                        (kin.e_b, _micro_degrees(kin.theta_b))])
+    data = struct.pack("<2d", kin.e0, kin.e_t) + b"".join(
+        struct.pack("<dq", e, m) for e, m in electrons)
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def _mirror_normal(k_a: np.ndarray, k_b: np.ndarray) -> np.ndarray:
@@ -154,25 +171,23 @@ def _spherical(rmag, cos_t, phi):
     )
 
 
-def _draw(cfg: McConfig, point_key: int, block: int, n: int):
+def _draw(key: np.ndarray, block: int, n: int, r_max: float):
     """The coordinates of one block of samples and their sampling density.
 
     Maps the block's Philox uniforms to (r1, |r1|, r2, |r2|, p1(r1) p2(r2)).
     """
-    lam1 = float(cfg.lambda1)
-    r_max = float(cfg.r_max)
-    gen = np.random.Generator(np.random.Philox(key=_philox_key(cfg.seed, point_key, block)))
-    u = gen.random((n, _DRAWS))
+    counter = np.array([0, 0, 0, block], dtype=np.uint64)  # blocks 2**192 steps apart
+    u = np.random.Generator(np.random.Philox(counter=counter, key=key)).random((n, _DRAWS))
 
     r2mag = -(np.log1p(-u[:, 0]) + np.log1p(-u[:, 1]) + np.log1p(-u[:, 2])) / _LAMBDA2
     r2 = _spherical(r2mag, 2.0 * u[:, 3] - 1.0, _TWO_PI * u[:, 4])
     use_uni = u[:, 5] < 0.5
-    r_exp = -(np.log1p(-u[:, 6]) + np.log1p(-u[:, 7])) / lam1
+    r_exp = -(np.log1p(-u[:, 6]) + np.log1p(-u[:, 7])) / _LAMBDA1
     r1mag = np.where(use_uni, u[:, 6] * r_max, r_exp)
     r1 = _spherical(r1mag, 2.0 * u[:, 8] - 1.0, _TWO_PI * u[:, 9])
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = 0.5 * (lam1 * lam1 / _FOUR_PI) * np.exp(-lam1 * r1mag) / r1mag + 0.5 / (
+        p1 = 0.5 * (_LAMBDA1**2 / _FOUR_PI) * np.exp(-_LAMBDA1 * r1mag) / r1mag + 0.5 / (
             _FOUR_PI * r_max * r1mag * r1mag
         )
         p2 = (_LAMBDA2**3 / (8.0 * math.pi)) * np.exp(-_LAMBDA2 * r2mag)
@@ -215,8 +230,6 @@ def _kernel(kin: Kinematics, cfg: McConfig):
         (mk0, (mk_b, kmag_b), (mk_a, kmag_a), 0.5 * (mk_b - mk_a)),  # mirrored exchange
     )
     _, at_r1, at_r2, kabs = zip(*table)
-    # |k| by (position, variant); xi = -Z/|k|, so equal |k| means equal xi
-    kmags = np.array([[kmag for _, kmag in col] for col in (at_r1, at_r2)])
 
     # reflection and overall sign leave |kab| the same in every row
     kab_mag = math.sqrt(float(kabs[0] @ kabs[0]))
@@ -231,7 +244,6 @@ def _kernel(kin: Kinematics, cfg: McConfig):
         scale *= np.conj(coulomb_norm(0.5 / kab_mag))
 
     def weigh(r1, r1mag, r2, r2mag, density):
-        n = len(r1mag)
         with np.errstate(divide="ignore", invalid="ignore"):
             r12 = r1 - r2
             r12mag = np.sqrt(np.sum(r12 * r12, axis=1))
@@ -245,22 +257,17 @@ def _kernel(kin: Kinematics, cfg: McConfig):
             g = np.exp(1j * np.stack([r1 @ k - r1 @ k1 - r2 @ k2
                                       for k, (k1, *_), (k2, *_), _ in table]))
             if waves:
-                # 1F1 arguments |k||r| + k.r by (position, variant, sample);
-                # one flat table evaluation per xi, r1-waves first
-                x = np.stack([[kmag * rmag + r @ k for k, kmag in col]
-                              for r, rmag, col in ((r1, r1mag, at_r1), (r2, r2mag, at_r2))])
-                f = np.empty(x.shape, dtype=complex)
-                for kmag, wave in waves.items():
-                    batch = kmags == kmag
-                    f[batch] = wave.evaluate(x[batch].ravel()).reshape(-1, n)
+                # the waves' 1F1 factors at |k||r| + k.r, by variant, at r1 and r2
+                f1, f2 = (np.stack([waves[kmag].evaluate(kmag * rmag + r @ k) for k, kmag in col])
+                          for r, rmag, col in ((r1, r1mag, at_r1), (r2, r2mag, at_r2)))
                 # the r1-wave stays the left factor: complex multiply is not
                 # bitwise commutative under FMA, and exact exchange symmetry
                 # needs the same operand order in paired variants
-                g = g * (f[0] * f[1])
+                g = g * (f1 * f2)
             if corr is not None:
                 rc = kab_mag * r12mag
                 args_c = np.concatenate([rc + r12 @ kab for kab in kabs])
-                g = g * corr.evaluate(args_c).reshape(4, n)
+                g = g * corr.evaluate(args_c).reshape(4, -1)
 
             inv_p = (0.5 * common) / density
             w = (g[0::2] + g[1::2]) * inv_p
@@ -270,7 +277,7 @@ def _kernel(kin: Kinematics, cfg: McConfig):
     return weigh
 
 
-def c3_pair(kin: Kinematics, cfg: McConfig, point_key: int = 0) -> PairEstimate:
+def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
     """Estimate both 3C amplitudes on one mirror-symmetrized sample set."""
     cfg = cfg.validated()
     n_total = int(cfg.samples)
@@ -280,13 +287,13 @@ def c3_pair(kin: Kinematics, cfg: McConfig, point_key: int = 0) -> PairEstimate:
         # suppresses the state completely and the T matrix vanishes
         return PairEstimate(0.0 + 0.0j, 0.0 + 0.0j, np.zeros((4, 4)), n_total, 0)
     weigh = _kernel(kin, cfg)
+    key = np.array([cfg.seed, _stream_word(kin)], dtype=np.uint64)
 
-    s1_blocks = []
-    s2_blocks = []
+    s1_blocks, s2_blocks = [], []
     n_rejected = 0
     for blk in range((n_total + BLOCK_SIZE - 1) // BLOCK_SIZE):
         n = min(BLOCK_SIZE, n_total - blk * BLOCK_SIZE)
-        w = weigh(*_draw(cfg, point_key, blk, n))
+        w = weigh(*_draw(key, blk, n, float(cfg.r_max)))
         finite = np.isfinite(w).all(axis=0)
         n_rejected += int(np.count_nonzero(~finite))
         w = np.where(finite, w, 0.0)
@@ -301,18 +308,11 @@ def c3_pair(kin: Kinematics, cfg: McConfig, point_key: int = 0) -> PairEstimate:
             f"(> {_MAX_REJECT_FRACTION:.1%}); integrand evaluation is unhealthy"
         )
     s1 = np.array([math.fsum(b[i] for b in s1_blocks) for i in range(4)])
-    s2 = np.array(
-        [[math.fsum(b[i, j] for b in s2_blocks) for j in range(4)] for i in range(4)]
-    )
+    s2 = np.array([[math.fsum(b[i, j] for b in s2_blocks) for j in range(4)]
+                   for i in range(4)])
     # rejected samples count as zero weights over the full budget, so the
     # estimator is not conditioned on the integrand evaluating finitely
     mean = s1 / n_total
     sample_cov = (s2 - n_total * np.outer(mean, mean)) / max(1, n_total - 1)
-    cov_mean = sample_cov / n_total
-    return PairEstimate(
-        t_d=complex(mean[0], mean[1]),
-        t_e=complex(mean[2], mean[3]),
-        cov=cov_mean,
-        n_samples=n_total,
-        n_rejected=n_rejected,
-    )
+    return PairEstimate(complex(mean[0], mean[1]), complex(mean[2], mean[3]),
+                        sample_cov / n_total, n_total, n_rejected)

@@ -28,9 +28,9 @@ through the batched Wootters concurrence of the averaged density
 matrix.
 
 Output files are deterministic byte for byte: numbers are written in
-shortest round-trip decimal form, grid points are processed with
-per-point derived random seeds, and assembly is ordered no matter how
-many workers run the grid.
+shortest round-trip decimal form, a 3C point's random stream follows
+from its kinematics alone (``c3mc``), and assembly is ordered no matter
+how many workers run the grid.
 """
 
 from __future__ import annotations
@@ -160,8 +160,7 @@ _CONVERTERS = {
     "scenario": _string, "p1": _nullable(_vector), "p2": _nullable(_vector),
     "theta_min_deg": _real, "theta_max_deg": _real, "step_deg": _real,
     "threshold_frac": _real, "output_dir": _string,
-    "mc": {"samples": _integer, "seed": _integer, "lambda1": _real, "r_max": _real,
-           "debug_free_limit": _flag},
+    "mc": {"samples": _integer, "seed": _integer, "r_max": _real, "debug_free_limit": _flag},
 }
 
 
@@ -254,16 +253,15 @@ def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, 
     e0, eb, et = cfg.energies_hartree()
     na, nb = len(ta_rad), len(tb_rad)
 
-    def do_point(idx):
-        i, j = divmod(idx, nb)
-        kin = build_coplanar(e0, eb, float(ta_rad[i]), float(tb_rad[j]), et)
-        return c3mc.c3_pair(kin, cfg.mc, point_key=idx)
+    def do_point(angles):
+        return c3mc.c3_pair(build_coplanar(e0, eb, *angles, et), cfg.mc)
 
+    points = [(float(a), float(b)) for a in ta_rad for b in tb_rad]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(do_point, range(na * nb)))
+            estimates = list(pool.map(do_point, points))
     else:
-        estimates = [do_point(idx) for idx in range(na * nb)]
+        estimates = [do_point(angles) for angles in points]
     td = np.array([est.t_d for est in estimates], dtype=complex).reshape(na, nb)
     te = np.array([est.t_e for est in estimates], dtype=complex).reshape(na, nb)
     covs = np.array([est.cov for est in estimates]).reshape(na, nb, 4, 4)
@@ -288,10 +286,10 @@ def amplitude_grids(cfg: ScanConfig, workers: int = 1, theta_a_deg=None, theta_b
     """Amplitude arrays (t_d, t_e, covariances) on a (theta_A, theta_B) grid.
 
     Both angle axes default to the configured grid; ``point`` passes one
-    angle each.  3C point keys are the row-major grid indices.  The
-    covariance array is None for the analytic Born model.  The grids do
-    not depend on the polarization scenario, so one evaluation can feed
-    several scenario assemblies.
+    angle each.  A 3C estimate depends on its own angles only, not on the
+    grid around it.  The covariance array is None for the analytic Born
+    model.  The grids do not depend on the polarization scenario, so one
+    evaluation can feed several scenario assemblies.
     """
     grid = cfg.grid_deg()
     ta = np.deg2rad(grid if theta_a_deg is None else theta_a_deg)

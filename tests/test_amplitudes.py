@@ -241,15 +241,11 @@ class TestAmplitudePairApi:
         with pytest.raises(ValueError):
             McConfig(samples=10).validated()
         with pytest.raises(ValueError):
-            McConfig(lambda1=-1.0).validated()
-        with pytest.raises(ValueError):
             McConfig(r_max=0.0).validated()
         with pytest.raises(ValueError):
             McConfig(seed=-1).validated()
         with pytest.raises(ValueError):
             McConfig(seed=2**64).validated()
         for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError):
-                McConfig(lambda1=bad).validated()
             with pytest.raises(ValueError):
                 McConfig(r_max=bad).validated()

@@ -27,6 +27,22 @@ C3_POINT = build_coplanar(54.4 / HARTREE_EV, 5.0 / HARTREE_EV, math.radians(20.0
                           math.radians(-60.0), -13.605693 / HARTREE_EV)
 
 
+def poisoned(n, samples, fill):
+    """A table evaluation that sets ``samples`` of each n-sample row to ``fill``.
+
+    The kernel evaluates one row per wave and four rows, one per mirror
+    variant, for the correlation factor; a one-block estimate of n
+    samples thus gets the same samples poisoned in every call.
+    """
+    real = c3mc.Coulomb1F1Table.evaluate
+
+    def evaluate(self, x):
+        out = np.array(real(self, x), copy=True)
+        out.reshape(-1, n)[:, samples] = fill
+        return out
+    return evaluate
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         kin = kin_at(40.0, -70.0)
@@ -43,12 +59,61 @@ class TestDeterminism:
         b = c3mc.c3_pair(kin, McConfig(samples=20_000, seed=10))
         assert a.t_d != b.t_d
 
-    def test_point_key_changes_stream(self):
-        kin = kin_at(40.0, -70.0)
+    def test_kinematics_change_stream(self):
+        # the same kinematics, built twice, give the same bits; other
+        # kinematics draw other samples
         cfg = McConfig(samples=20_000, seed=9)
-        a = c3mc.c3_pair(kin, cfg, point_key=0)
-        b = c3mc.c3_pair(kin, cfg, point_key=1)
-        assert a.t_d != b.t_d
+        a = c3mc.c3_pair(kin_at(40.0, -70.0), cfg)
+        b = c3mc.c3_pair(kin_at(40.0, -70.0), cfg)
+        assert a.t_d == b.t_d and a.t_e == b.t_e and np.array_equal(a.cov, b.cov)
+        words = [c3mc._stream_word(kin) for kin in (kin_at(40.0, -70.0), kin_at(40.0, -71.0))]
+        assert words[0] != words[1]
+        draws = [c3mc._draw(np.array([9, w], dtype=np.uint64), 0, 100, 14.0)[1] for w in words]
+        assert not np.any(draws[0] == draws[1])
+
+
+def stream_word(e0, eb, theta_a_deg, theta_b_deg, et=ET):
+    return c3mc._stream_word(
+        build_coplanar(e0, eb, math.radians(theta_a_deg), math.radians(theta_b_deg), et))
+
+
+class TestStreamKey:
+    def test_electron_labels_do_not_change_the_word(self):
+        assert stream_word(E0, EB, 40.0, -70.0) == stream_word(E0, EB, -70.0, 40.0)
+
+    def test_plus_and_minus_180_share_a_word(self):
+        assert stream_word(E0, EB, 180.0, -70.0) == stream_word(E0, EB, -180.0, -70.0)
+        assert stream_word(E0, EB, 30.0, 180.0) == stream_word(E0, EB, 30.0, -180.0)
+
+    def test_angle_rounding_does_not_change_the_word(self):
+        # an angle off by its last bit is the same point; one micro-degree is not
+        theta_a = math.nextafter(math.radians(30.0), 1.0)
+        kin = build_coplanar(E0, EB, theta_a, math.radians(-60.0), ET)
+        assert c3mc._stream_word(kin) == stream_word(E0, EB, 30.0, -60.0)
+        assert stream_word(E0, EB, 30.0, -60.0) != stream_word(E0, EB, 30.000001, -60.0)
+
+    def test_energies_change_the_word(self):
+        base = stream_word(E0, EB, 40.0, -70.0)
+        assert base != stream_word(E0, 0.5, 40.0, -70.0)
+        assert base != stream_word(E0 + 0.25, EB, 40.0, -70.0, et=ET - 0.25)
+        assert base != stream_word(2.1, EB, 40.0, -70.0)
+
+    def test_default_grid_has_no_repeated_word(self):
+        # the default 181^2 grid at equal sharing and at 5 eV: one word per
+        # physical point, where a point is an unordered pair of electrons
+        # and +-180 deg is one direction
+        grid = parse_config({}).grid_deg()
+        wrapped = np.where(grid == -180.0, 180.0, grid)
+        points, words = set(), set()
+        for eb_ev in (None, 5.0):
+            e0, eb, et = parse_config({"eb_ev": eb_ev}).energies_hartree()
+            e_a = e0 + et - eb
+            for ta, wa in zip(grid, wrapped):
+                for tb, wb in zip(grid, wrapped):
+                    points.add((e_a, eb, frozenset([(e_a, wa), (eb, wb)])))
+                    words.add(stream_word(e0, eb, ta, tb, et))
+        assert len(points) == 180 * 181 // 2 + 180**2
+        assert len(words) == len(points)
 
 
 class TestExchangeSymmetry:
@@ -118,26 +183,14 @@ class TestEdgeCases:
     def test_rejection_accounting_error(self, monkeypatch):
         # poison a fraction of the integrand evaluations and make sure the
         # estimator refuses to report
-        real = c3mc.Coulomb1F1Table.evaluate
-
-        def poisoned(self, x):
-            out = np.asarray(real(self, x)).copy()
-            out[:: 50] = complex(math.nan, math.nan)
-            return out
-
-        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", poisoned)
+        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate",
+                            poisoned(5_000, slice(None, None, 50), complex(math.nan, math.nan)))
         with pytest.raises(ArithmeticError, match="rejected"):
             c3mc.c3_pair(kin_at(45.0, -60.0), McConfig(samples=5_000, seed=3))
 
     def test_small_rejection_is_counted_not_fatal(self, monkeypatch):
-        real = c3mc.Coulomb1F1Table.evaluate
-
-        def rarely_poisoned(self, x):
-            out = np.asarray(real(self, x)).copy()
-            out[::30001] = complex(math.nan, math.nan)
-            return out
-
-        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", rarely_poisoned)
+        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate",
+                            poisoned(60_000, slice(None, None, 30001), complex(math.nan, math.nan)))
         est = c3mc.c3_pair(kin_at(45.0, -60.0), McConfig(samples=60_000, seed=3))
         assert 0 < est.n_rejected <= 0.001 * 60_000
 
@@ -161,20 +214,9 @@ class TestRejection:
         # sums over the same full budget, not a mean over the survivors
         kin = kin_at(45.0, -60.0)
         cfg = McConfig(samples=2_000, seed=6)
-        real = c3mc.Coulomb1F1Table.evaluate
-
-        def spoiled(fill):
-            def evaluate(self, x):
-                out = np.array(real(self, x), copy=True)
-                for k in range(4):
-                    for s in (17, 1234):
-                        out[k * 2000 + s] = fill
-                return out
-            return evaluate
-
-        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", spoiled(np.nan))
+        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", poisoned(2_000, [17, 1234], np.nan))
         rejected = c3mc.c3_pair(kin, cfg)
-        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", spoiled(0.0))
+        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", poisoned(2_000, [17, 1234], 0.0))
         zeroed = c3mc.c3_pair(kin, cfg)
         assert rejected.n_rejected == 2
         assert zeroed.n_rejected == 0

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,20 @@ class TestPointCommand:
         assert abs(conc["closed_form"] - conc["wootters"]) <= 1e-10
         assert rep["tdcs"]["i_triplet"] == 0.75 * rep["tdcs"]["i_par"]
         assert rep["amplitudes"]["t_d"] == rep["amplitudes"]["t_e"]
+
+    def test_c3_point_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # the 3C stream key is a blake2b digest, not Python's salted hash()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "c3", "mc": {"samples": 1000, "seed": 1}}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "e2espin.cli", "point", "--config", str(cfg),
+                "--theta-a", "30", "--theta-b", "-60"]
+        outputs = [subprocess.run(argv, env={**os.environ, "PYTHONPATH": path,
+                                             "PYTHONHASHSEED": hash_seed},
+                                  capture_output=True, check=True).stdout
+                   for hash_seed in ("1", "2")]
+        assert outputs[0] == outputs[1] and b"t_d" in outputs[0]
 
     def test_antiparallel_scenario_saturates_chsh(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -127,7 +145,7 @@ class TestExitCodes:
             ({"scenario": ["perp"]}, "scenario"),
             ({"e0_ev": math.inf, "eb_ev": 5.0, "step_deg": 90.0}, "e0_ev"),
             ({"model": "c3", "mc": {"r_max": math.inf}}, "mc.r_max"),
-            ({"mc": {"lambda1": -math.inf}}, "mc.lambda1"),
+            ({"mc": {"lambda1": 1.0}}, "unknown"),  # a removed setting is an unknown key
             ({"theta_min_deg": math.nan}, "theta_min_deg"),
             ({"scenario": "custom", "p1": [0, 0, math.nan], "p2": [0, 0, 1]}, "p1"),
         ],

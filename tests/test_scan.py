@@ -67,6 +67,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="walkers"):
             parse_config({"mc": {"walkers": 2}})
 
+    def test_removed_lambda1_is_unknown(self):
+        with pytest.raises(ConfigError, match=r"unknown configuration key\(s\): mc\.lambda1"):
+            parse_config({"mc": {"lambda1": 1.0}})
+
     def test_threshold_range(self):
         with pytest.raises(ConfigError, match="threshold_frac"):
             parse_config({"threshold_frac": 1.5})
@@ -309,6 +313,46 @@ class TestRunScanC3:
         b, _ = run_scan(cfg, workers=3)
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def c3_grids(theta_min, theta_max, step, **over):
+    cfg = parse_config({"model": "c3", "e0_ev": 54.4, "theta_min_deg": theta_min,
+                        "theta_max_deg": theta_max, "step_deg": step,
+                        "mc": {"samples": 2000, "seed": 3}, **over})
+    return amplitude_grids(cfg)
+
+
+class TestPhysicalStreams:
+    # a 3C estimate depends on its own kinematics, not on the grid around it
+
+    def test_point_equals_scan_cell(self):
+        td, te, covs = c3_grids(-60.0, 60.0, 30.0)
+        cfg = parse_config({"model": "c3", "e0_ev": 54.4, "mc": {"samples": 2000, "seed": 3}})
+        ptd, pte, pcovs = amplitude_grids(cfg, theta_a_deg=[30.0], theta_b_deg=[-60.0])
+        assert ptd[0, 0] == td[3, 0] and pte[0, 0] == te[3, 0]
+        assert np.array_equal(pcovs[0, 0], covs[3, 0])
+
+    def test_scan_ranges_agree_on_shared_points(self):
+        # {-30, 0, 30, 60} deg is in both grids
+        a = c3_grids(-60.0, 60.0, 30.0)
+        b = c3_grids(-30.0, 90.0, 30.0)
+        for grid_a, grid_b in zip(a, b):
+            assert np.array_equal(grid_a[1:, 1:], grid_b[:4, :4])
+
+    def test_equal_sharing_relabeling_swaps_amplitudes(self):
+        # t_d(thetaA, thetaB) = t_e(thetaB, thetaA), bit for bit
+        td, te, _ = c3_grids(-90.0, 90.0, 30.0)
+        assert np.array_equal(td, te.T)
+        assert np.count_nonzero(td) == 42  # all but the coincident diagonal
+
+    def test_plus_and_minus_180_rows_share_a_stream(self):
+        # sin(+-pi) differ by rounding, so the kinematics, and with one
+        # stream the estimates, differ only far below the Monte Carlo error
+        td, te, covs = c3_grids(-180.0, 180.0, 90.0)
+        for grid in (td, te):
+            for first, last in ((grid[0], grid[-1]), (grid[:, 0], grid[:, -1])):
+                assert np.all(np.abs(first - last) <= 1e-9 * np.abs(first))
+        assert np.all(np.sqrt(covs[0, 1:4, 0, 0]) > 1e-3 * np.abs(td[0, 1:4]))
 
 
 class TestCsv:
