@@ -67,6 +67,7 @@ from .spin import (
     SpinDensityMatrix,
     bell_coefficients,
     bloch_spinor,
+    pair_matrix,
     pair_state,
     pauli_expectation,
     reduced_density,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import PAULI, AmplitudePair, DegenerateStateError, SpinDensityMatrix
+from .spin import PAULI, AmplitudePair, DegenerateStateError, product_matrix
 
 __all__ = [
     "DetectorSettings",
@@ -78,13 +78,7 @@ def chsh_operator(settings: DetectorSettings = DEFAULT_SETTINGS) -> np.ndarray:
 
 def chsh_expectation(rho, settings: DetectorSettings = DEFAULT_SETTINGS) -> float:
     """Tr(rho Pi) for a product-basis density matrix."""
-    if isinstance(rho, SpinDensityMatrix):
-        if rho.basis != "product":
-            raise ValueError("chsh_expectation requires a product-basis matrix")
-        m = rho.matrix
-    else:
-        m = np.asarray(rho, dtype=complex)
-    return float(np.trace(m @ chsh_operator(settings)).real)
+    return float(np.trace(product_matrix(rho) @ chsh_operator(settings)).real)
 
 
 def chsh_closed_form(amps: AmplitudePair, pol1, pol2) -> float:

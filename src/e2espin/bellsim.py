@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import DEFAULT_SETTINGS, DetectorSettings, chsh_expectation
-from .spin import PAULI, SpinDensityMatrix
+from .spin import PAULI, product_matrix
 
 __all__ = [
     "CoincidenceCounts",
@@ -51,17 +51,9 @@ class CoincidenceCounts:
         return (self.n_pp + self.n_mm - self.n_pm - self.n_mp) / n
 
 
-def _rho_matrix(rho) -> np.ndarray:
-    if isinstance(rho, SpinDensityMatrix):
-        if rho.basis != "product":
-            raise ValueError("outcome probabilities require a product-basis matrix")
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
-
-
 def outcome_probabilities(rho, a, b) -> np.ndarray:
     """Joint outcome probabilities (P++, P+-, P-+, P--) for one setting pair."""
-    m = _rho_matrix(rho)
+    m = product_matrix(rho)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for name, v in (("a", a), ("b", b)):

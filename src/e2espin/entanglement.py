@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .spin import SpinDensityMatrix
+from .spin import product_matrix
 
 __all__ = [
     "concurrence_wootters",
@@ -37,12 +37,7 @@ _YY = np.array(
 
 
 def _as_product_matrix(rho) -> np.ndarray:
-    if isinstance(rho, SpinDensityMatrix):
-        if rho.basis != "product":
-            raise ValueError("concurrence requires a product-basis density matrix")
-        m = rho.matrix
-    else:
-        m = np.asarray(rho, dtype=complex)
+    m = product_matrix(rho)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {m.shape}")
     if np.abs(m - m.conj().T).max() > 1e-10:

@@ -46,7 +46,7 @@ from . import c3mc
 from .amplitudes import McConfig, pwba_grid
 from .entanglement import concurrence_closed_form, entanglement_of_formation, wootters_batch
 from .kinematics import HARTREE_EV, build_coplanar, tdcs_prefactor
-from .spin import _assemble_pair_density, _branch_kernels
+from .spin import pair_matrix
 
 __all__ = [
     "ConfigError",
@@ -119,6 +119,8 @@ def _convert(key: str, value, conv):
 def _real(value) -> float:
     if isinstance(value, bool):
         raise TypeError("expected a number, not a boolean")
+    if isinstance(value, str):  # float("54.4") would succeed
+        raise TypeError("expected a number, not a string")
     x = float(value)
     if not math.isfinite(x):  # Python's json accepts NaN and Infinity
         raise ValueError("expected a finite number")
@@ -270,9 +272,8 @@ def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, 
 
 def _wootters_grid(td, te, p1, p2) -> np.ndarray:
     """Pointwise Wootters concurrence of the averaged pair density matrix."""
-    k1, k2, k3 = _branch_kernels(p1, p2)
     alive = np.abs(td) ** 2 + np.abs(te) ** 2 > 0.0
-    rhos = _assemble_pair_density(td[alive], te[alive], k1, k2, k3)
+    rhos = pair_matrix(td[alive], te[alive], p1, p2)
     tr = np.trace(rhos, axis1=1, axis2=2).real
     ok = tr > 0.0
     c = np.zeros(len(rhos))
@@ -382,7 +383,7 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> tuple[dict, np.ndarray]:
 
     Returns the observables dict (arrays indexed [theta_A, theta_B])
     and the angle axis in degrees.  The result is independent of
-    ``workers`` (grid points use seeds derived from their index).
+    ``workers`` (each 3C point's stream is keyed by its physical point).
     """
     td, te, covs = amplitude_grids(cfg, workers)
     return observables_from_amplitudes(cfg, td, te, covs), cfg.grid_deg()

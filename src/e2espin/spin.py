@@ -21,11 +21,18 @@ Spin directions are described either by Bloch angles (theta, phi) or
 by polarization 3-vectors.  A unit polarization vector corresponds to
 a pure spinor; shorter vectors describe partially polarized ensembles
 and enter only through the statistically averaged density matrix.
+
+On pair density matrices the collision acts as T = t_d 1 - t_e S,
+with S the swap of the two qubits, so an initial state
+rho_in = rho1 (x) rho2, rho_i = (1 + P_i.sigma)/2, leaves as
+rho_out = T rho_in T^dag / Tr(T rho_in T^dag).  ``pair_matrix`` builds
+the unnormalized T rho_in T^dag from the two polarization vectors;
+``rho_pure`` (the spinor route) and ``rho_bell_closed_form`` are its
+independent oracles.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,8 +50,10 @@ __all__ = [
     "pair_state",
     "bell_coefficients",
     "rho_pure",
+    "pair_matrix",
     "rho_mixed",
     "rho_bell_closed_form",
+    "product_matrix",
     "reduced_density",
     "to_bell_basis",
     "to_product_basis",
@@ -107,6 +116,15 @@ class SpinDensityMatrix:
         if np.linalg.eigvalsh(m).min() < _PSD_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         return self
+
+
+def product_matrix(rho) -> np.ndarray:
+    """The matrix of a product-basis ``SpinDensityMatrix``, or ``rho`` as an array."""
+    if isinstance(rho, SpinDensityMatrix):
+        if rho.basis != "product":
+            raise ValueError(f"expected a product-basis density matrix, got basis {rho.basis!r}")
+        return rho.matrix
+    return np.asarray(rho, dtype=complex)
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -178,58 +196,41 @@ def bell_coefficients(amps: AmplitudePair, chi, eta) -> np.ndarray:
     )
 
 
-def _branch_kernels(p1, p2):
-    """Polarization-averaged outer-product kernels (K1, K2, K3).
-
-    The unnormalized averaged pair matrix is
-        |t_d|^2 K1 + |t_e|^2 K2 - t_d t_e* K3 - t_d* t_e K3^dag,
-    summed over the four (+-zeta1, +-zeta2) ensemble branches with
-    weights (1 +- P1)(1 +- P2)/4.  The kernels are built once per
-    polarization pair and returned read-only.
-    """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    if p1.shape != (3,) or p2.shape != (3,):
-        raise ValueError("polarization vectors must be 3-vectors")
-    return _kernels_for(tuple(p1.tolist()), tuple(p2.tolist()))
+def _polarization_density(p, name: str) -> np.ndarray:
+    """Single-electron matrix (1 + P.sigma)/2 of the polarization vector ``p``."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3,):
+        raise ValueError(f"polarization {name} must be a 3-vector")
+    m = float(np.linalg.norm(p))
+    if not m <= 1.0 + 1e-12:  # NaN fails this too
+        raise ValueError(f"polarization magnitudes must be <= 1, |{name}| = {m:.12g}")
+    x, y, z = p
+    return 0.5 * np.array([[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]])
 
 
-@functools.lru_cache(maxsize=256)
-def _kernels_for(p1: tuple, p2: tuple):
-    p1 = np.array(p1)
-    p2 = np.array(p2)
-    m1 = float(np.linalg.norm(p1))
-    m2 = float(np.linalg.norm(p2))
-    if m1 > 1.0 + 1e-12 or m2 > 1.0 + 1e-12:
-        raise ValueError(f"polarization magnitudes must be <= 1, got {m1:.12g}, {m2:.12g}")
-    zhat = np.array([0.0, 0.0, 1.0])
-    u1 = p1 / m1 if m1 > 0.0 else zhat
-    u2 = p2 / m2 if m2 > 0.0 else zhat
-    k1 = np.zeros((4, 4), dtype=complex)
-    k2 = np.zeros((4, 4), dtype=complex)
-    k3 = np.zeros((4, 4), dtype=complex)
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            w = 0.25 * (1.0 + s1 * m1) * (1.0 + s2 * m2)
-            if w == 0.0:
-                continue
-            chi = spinor_from_polarization(s1 * u1)
-            eta = spinor_from_polarization(s2 * u2)
-            # the product-basis vectors chi (x) eta and eta (x) chi
-            va = np.outer(chi, eta).ravel()
-            vb = np.outer(eta, chi).ravel()
-            k1 += w * np.outer(va, va.conj())
-            k2 += w * np.outer(vb, vb.conj())
-            k3 += w * np.outer(va, vb.conj())
-    return _freeze(k1), _freeze(k2), _freeze(k3)
+def _pair_kernels(p1, p2):
+    """(rho_in, S rho_in S, rho_in S) for rho_in = rho1 (x) rho2."""
+    r1 = _polarization_density(p1, "p1")
+    r2 = _polarization_density(p2, "p2")
+    rho_in = r1[:, None, :, None] * r2[None, :, None, :]  # [a, b, c, d]
+    return (
+        rho_in.reshape(4, 4),
+        rho_in.transpose(1, 0, 3, 2).reshape(4, 4),  # swap both row and column qubits
+        rho_in.transpose(0, 1, 3, 2).reshape(4, 4),  # swap the column qubits
+    )
 
 
-def _assemble_pair_density(td, te, k1, k2, k3) -> np.ndarray:
-    """Unnormalized averaged pair matrix from the ``_branch_kernels``.
+def pair_matrix(td, te, p1, p2) -> np.ndarray:
+    """Unnormalized polarization-averaged pair matrix T rho_in T^dag.
 
-    Amplitude arrays give matrices of shape ``td.shape + (4, 4)``.  Real
+    rho_in = rho1 (x) rho2 with rho_i = (1 + P_i.sigma)/2, and
+    T = t_d 1 - t_e S, so the matrix is
+        |t_d|^2 rho_in + |t_e|^2 S rho_in S - t_d t_e* rho_in S - h.c.
+    The three kernels are index permutations of rho_in.  Amplitude
+    arrays give matrices of shape ``td.shape + (4, 4)``.  Real
     arithmetic (numpy's complex multiply may fuse) keeps Python's bits.
     """
+    k1, k2, k3 = _pair_kernels(p1, p2)
     td = np.asarray(td, dtype=complex)[..., None, None]
     te = np.asarray(te, dtype=complex)[..., None, None]
     dr, di, er, ei = td.real, td.imag, te.real, te.imag
@@ -267,15 +268,14 @@ def rho_pure(amps: AmplitudePair, zeta1, zeta2) -> SpinDensityMatrix:
 def rho_mixed(amps: AmplitudePair, p1, p2) -> SpinDensityMatrix:
     """Normalized pair density matrix for partially polarized beams.
 
-    Statistical average of the four pure branches (+-zeta1, +-zeta2)
-    with weights (1 +- P1)(1 +- P2)/4, where zeta_i = P_i/|P_i|.
-    Reduces to ``rho_pure`` when both polarizations are unit vectors.
+    ``pair_matrix`` over its trace, for polarization vectors P1, P2 of
+    length at most 1.  Reduces to ``rho_pure`` when both polarizations
+    are unit vectors.
     """
     td, te = complex(amps.t_d), complex(amps.t_e)
     if td == 0.0 and te == 0.0:
         raise DegenerateStateError("both amplitudes are zero")
-    k1, k2, k3 = _branch_kernels(p1, p2)
-    rho = _assemble_pair_density(td, te, k1, k2, k3)
+    rho = pair_matrix(td, te, p1, p2)
     tr = float(np.trace(rho).real)
     if tr <= 1e-14 * (abs(td) ** 2 + abs(te) ** 2):
         raise DegenerateStateError("averaged pair state has zero weight (u = 0)")

@@ -148,6 +148,16 @@ class TestExitCodes:
             ({"mc": {"lambda1": 1.0}}, "unknown"),  # a removed setting is an unknown key
             ({"theta_min_deg": math.nan}, "theta_min_deg"),
             ({"scenario": "custom", "p1": [0, 0, math.nan], "p2": [0, 0, 1]}, "p1"),
+            # a quoted number is a string, not a real
+            ({"e0_ev": "54.4"}, "e0_ev"),
+            ({"eb_ev": "5"}, "eb_ev"),
+            ({"et_ev": "-13.6"}, "et_ev"),
+            ({"theta_min_deg": "-180"}, "theta_min_deg"),
+            ({"theta_max_deg": "180"}, "theta_max_deg"),
+            ({"step_deg": "90"}, "step_deg"),
+            ({"threshold_frac": "0.01"}, "threshold_frac"),
+            ({"mc": {"r_max": "14"}}, "mc.r_max"),
+            ({"scenario": "custom", "p1": [0, 0, "0.5"], "p2": [0, 0, 1]}, "p1"),
         ],
     )
     def test_malformed_value_is_config_error(self, capsys, tmp_path, data, key):

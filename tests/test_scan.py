@@ -23,7 +23,7 @@ from e2espin.scan import (
     write_csv,
     write_pgm,
 )
-from e2espin.spin import AmplitudePair, _assemble_pair_density, _branch_kernels, rho_mixed
+from e2espin.spin import AmplitudePair, pair_matrix, rho_mixed
 
 
 def _diagonal(thetas):
@@ -250,17 +250,17 @@ class TestObservablesCore:
         p1, p2 = resolve_polarizations(cfg)
         e0, eb, et = cfg.energies_hartree()
         pref = tdcs_prefactor(build_coplanar(e0, eb, 0.3, -1.1, et))
-        kernels = {
-            "scenario": _branch_kernels(p1, p2),
-            "parallel": _branch_kernels(ZHAT, ZHAT),
-            "antiparallel": _branch_kernels(ZHAT, -ZHAT),
-            "unpolarized": _branch_kernels(ZERO, ZERO),
+        polarizations = {
+            "scenario": (p1, p2),
+            "parallel": (ZHAT, ZHAT),
+            "antiparallel": (ZHAT, -ZHAT),
+            "unpolarized": (ZERO, ZERO),
         }
         for i, j in np.ndindex(td.shape):
             if i == 0 and j < 3:
                 continue
-            rho = {key: _assemble_pair_density(td[i, j], te[i, j], *k)
-                   for key, k in kernels.items()}
+            rho = {key: pair_matrix(td[i, j], te[i, j], *p)
+                   for key, p in polarizations.items()}
             singlet = (PSI_MINUS @ rho["unpolarized"] @ PSI_MINUS).real
             for name, want in (
                 ("tdcs", np.trace(rho["scenario"]).real),

@@ -1,16 +1,23 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import e2espin
+from e2espin.bell import chsh_expectation
+from e2espin.bellsim import outcome_probabilities
+from e2espin.entanglement import concurrence_wootters
 from e2espin.spin import (
     BELL_TO_PRODUCT,
-    _branch_kernels,
+    _pair_kernels,
     AmplitudePair,
     DegenerateStateError,
     SpinDensityMatrix,
     bell_coefficients,
     bloch_spinor,
+    pair_matrix,
     pair_state,
     pauli_expectation,
     reduced_density,
@@ -220,23 +227,60 @@ def kron_branch_kernels(p1, p2):
 
 
 class TestBranchKernels:
-    def test_cached_kernels_equal_the_kron_loop_bitwise(self):
+    def test_product_form_kernels_match_the_kron_loop(self):
         rng = np.random.default_rng(21)
-        pairs = [(np.zeros(3), np.zeros(3)), (ZHAT, -ZHAT), (XHAT, np.zeros(3))]
+        # the four named scenarios, then partial with unit and partial with partial
+        pairs = [(ZHAT, XHAT), (ZHAT, -ZHAT), (ZHAT, np.zeros(3)), (np.zeros(3), np.zeros(3))]
         pairs += [(rng.uniform(0.0, 1.0) * random_unit(rng), random_unit(rng)) for _ in range(50)]
+        pairs += [
+            (rng.uniform(0.0, 1.0) * random_unit(rng), rng.uniform(0.0, 1.0) * random_unit(rng))
+            for _ in range(2000)
+        ]
         for p1, p2 in pairs:
-            for _ in range(2):  # built, then from the cache
-                for got, ref in zip(_branch_kernels(p1, p2), kron_branch_kernels(p1, p2)):
-                    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            for got, ref in zip(_pair_kernels(p1, p2), kron_branch_kernels(p1, p2)):
+                assert np.abs(got - ref).max() <= 1e-15
 
-    def test_kernels_are_built_once_and_read_only(self):
-        p1, p2 = 0.4 * XHAT, -0.7 * ZHAT
-        first = _branch_kernels(p1, p2)
-        again = _branch_kernels(list(p1), tuple(p2))
-        assert all(a is b for a, b in zip(first, again))
-        for k in first:
-            with pytest.raises(ValueError):
-                k[0, 0] = 1.0
+    def test_unpolarized_initial_state_is_exactly_identity_over_four(self):
+        rho_in = _pair_kernels(np.zeros(3), np.zeros(3))[0]
+        assert np.array_equal(rho_in, np.eye(4) / 4)
+        # with t_e = 0 the pair keeps its initial state, bit for bit
+        rho = rho_mixed(AmplitudePair(1.0, 0.0), np.zeros(3), np.zeros(3)).matrix
+        assert np.array_equal(rho, np.eye(4) / 4)
+
+    @pytest.mark.parametrize(
+        "p1, p2", [(np.zeros(2), ZHAT), (ZHAT, (1.0 + 1e-9) * XHAT), ([math.nan, 0.0, 0.0], ZHAT)]
+    )
+    def test_pair_matrix_checks_polarizations(self, p1, p2):
+        with pytest.raises(ValueError):
+            pair_matrix(1.0, 0.5, p1, p2)
+
+
+class TestProductMatrix:
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            concurrence_wootters,
+            chsh_expectation,
+            lambda rho: outcome_probabilities(rho, ZHAT, XHAT),
+        ],
+        ids=["concurrence_wootters", "chsh_expectation", "outcome_probabilities"],
+    )
+    def test_bell_basis_matrix_is_rejected(self, consumer):
+        rho = to_bell_basis(rho_pure(AmplitudePair(1.0, 0.5), ZHAT, XHAT))
+        with pytest.raises(ValueError, match="product-basis"):
+            consumer(rho)
+
+
+def test_only_spin_uses_its_private_names():
+    """The pair-matrix kernels are laid out inside ``spin`` and nowhere else."""
+    offenders = []
+    for path in sorted(Path(e2espin.__file__).parent.glob("*.py")):
+        if path.stem == "spin":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("spin", "e2espin.spin"):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
 
 
 class TestReducedDensity:
