@@ -31,6 +31,7 @@ from .special import coulomb_norm, kummer_1f1
 from .spin import AmplitudePair
 
 __all__ = [
+    "HYDROGEN_ET_EV",
     "McConfig",
     "hydrogen_1s_position",
     "hydrogen_1s_momentum",
@@ -40,6 +41,9 @@ __all__ = [
     "ee_correlation",
     "free_limit_closed_form",
 ]
+
+# E_T of H(1s) in eV, the one target; the 3C stream word hashes its exact bits
+HYDROGEN_ET_EV = -13.605693
 
 
 @dataclass(frozen=True)
@@ -72,31 +76,27 @@ class McConfig:
         return self
 
 
-def hydrogen_1s_position(r, z_charge: float = 1.0):
-    """Hydrogenic 1s wave function sqrt(Z^3/pi) e^{-Z r} at point(s) r."""
-    if not z_charge > 0.0:
-        raise ValueError(f"nuclear charge must be positive, got {z_charge}")
+def hydrogen_1s_position(r):
+    """Hydrogen 1s wave function e^{-r} / sqrt(pi) at point(s) r."""
     r = np.asarray(r, dtype=float)
     rmag = np.linalg.norm(r, axis=-1)
-    out = math.sqrt(z_charge**3 / math.pi) * np.exp(-z_charge * rmag)
+    out = math.sqrt(1.0 / math.pi) * np.exp(-rmag)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _phi_1s_q2(q2, z_charge: float = 1.0):
+def _phi_1s_q2(q2):
     """Momentum-space 1s wave function as a function of |q|^2."""
-    return 8.0 * math.sqrt(math.pi) * z_charge**2.5 / (q2 + z_charge**2) ** 2
+    return 8.0 * math.sqrt(math.pi) / (q2 + 1.0) ** 2
 
 
-def hydrogen_1s_momentum(q, z_charge: float = 1.0):
-    """Momentum-space 1s wave function 8 sqrt(pi) Z^{5/2} / (q^2 + Z^2)^2.
+def hydrogen_1s_momentum(q):
+    """Momentum-space 1s wave function 8 sqrt(pi) / (q^2 + 1)^2.
 
     Normalized so that int d^3q/(2 pi)^3 |phi|^2 = 1.
     """
-    if not z_charge > 0.0:
-        raise ValueError(f"nuclear charge must be positive, got {z_charge}")
     q = np.asarray(q, dtype=float)
     q2 = np.sum(q * q, axis=-1)
-    out = _phi_1s_q2(q2, z_charge)
+    out = _phi_1s_q2(q2)
     return float(out) if np.ndim(out) == 0 else out
 
 

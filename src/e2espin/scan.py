@@ -43,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import c3mc
-from .amplitudes import McConfig, pwba_grid
+from .amplitudes import HYDROGEN_ET_EV, McConfig, pwba_grid
 from .entanglement import concurrence_closed_form, entanglement_of_formation, wootters_batch
 from .kinematics import HARTREE_EV, build_coplanar, tdcs_prefactor
-from .spin import pair_matrix
+from .spin import pair_matrix, polarization_matrix
 
 __all__ = [
     "ConfigError",
@@ -72,12 +72,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """A validated configuration; ``eb_ev`` None means equal energy sharing."""
+    """A validated H(1s) configuration; ``eb_ev`` None means equal energy sharing."""
 
     model: str = "pwba"
     e0_ev: float = 54.4
     eb_ev: float | None = None
-    et_ev: float = -13.605693
     scenario: str = "unpolarized"
     p1: tuple | None = None
     p2: tuple | None = None
@@ -91,7 +90,7 @@ class ScanConfig:
     def energies_hartree(self) -> tuple[float, float, float]:
         """(e0, e_b, e_t) in hartree."""
         e0 = self.e0_ev / HARTREE_EV
-        et = self.et_ev / HARTREE_EV
+        et = HYDROGEN_ET_EV / HARTREE_EV
         if self.eb_ev is not None:
             eb = self.eb_ev / HARTREE_EV
         else:
@@ -158,7 +157,7 @@ def _nullable(conv):
 # the settable keys and their converters (a nested table for a nested
 # object); the defaults live on the dataclass fields
 _CONVERTERS = {
-    "model": _string, "e0_ev": _real, "eb_ev": _nullable(_real), "et_ev": _real,
+    "model": _string, "e0_ev": _real, "eb_ev": _nullable(_real),
     "scenario": _string, "p1": _nullable(_vector), "p2": _nullable(_vector),
     "theta_min_deg": _real, "theta_max_deg": _real, "step_deg": _real,
     "threshold_frac": _real, "output_dir": _string,
@@ -188,7 +187,6 @@ def parse_config(data: dict) -> ScanConfig:
 
     _require(cfg.model in ("pwba", "c3"), f"model must be 'pwba' or 'c3', got {cfg.model!r}")
     _require(cfg.e0_ev > 0.0, f"e0_ev must be positive, got {cfg.e0_ev}")
-    _require(cfg.et_ev < 0.0, f"et_ev must be negative (bound state), got {cfg.et_ev}")
     if cfg.eb_ev is not None:
         _require(cfg.eb_ev > 0.0, f"eb_ev must be positive, got {cfg.eb_ev}")
     e0, eb, et = cfg.energies_hartree()
@@ -199,9 +197,7 @@ def parse_config(data: dict) -> ScanConfig:
         _require(cfg.p1 is not None and cfg.p2 is not None,
                  "custom scenario requires p1 and p2")
         for name, p in (("p1", cfg.p1), ("p2", cfg.p2)):
-            _require(len(p) == 3, f"{name} must be a 3-vector")
-            _require(math.sqrt(sum(x * x for x in p)) <= 1.0 + 1e-12,
-                     f"{name} must have magnitude <= 1")
+            _convert(name, p, lambda v: polarization_matrix(v, name))
     else:
         _require(cfg.p1 is None and cfg.p2 is None,
                  "p1/p2 are only valid with the custom scenario")
@@ -225,6 +221,8 @@ def read_config(path):
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"configuration file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -50,6 +50,7 @@ __all__ = [
     "pair_state",
     "bell_coefficients",
     "rho_pure",
+    "polarization_matrix",
     "pair_matrix",
     "rho_mixed",
     "rho_bell_closed_form",
@@ -196,8 +197,11 @@ def bell_coefficients(amps: AmplitudePair, chi, eta) -> np.ndarray:
     )
 
 
-def _polarization_density(p, name: str) -> np.ndarray:
-    """Single-electron matrix (1 + P.sigma)/2 of the polarization vector ``p``."""
+def polarization_matrix(p, name: str) -> np.ndarray:
+    """Single-electron matrix (1 + P.sigma)/2 of the polarization vector ``p``.
+
+    The one bound on a polarization; ``name`` labels ``p`` in errors.
+    """
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"polarization {name} must be a 3-vector")
@@ -210,8 +214,8 @@ def _polarization_density(p, name: str) -> np.ndarray:
 
 def _pair_kernels(p1, p2):
     """(rho_in, S rho_in S, rho_in S) for rho_in = rho1 (x) rho2."""
-    r1 = _polarization_density(p1, "p1")
-    r2 = _polarization_density(p2, "p2")
+    r1 = polarization_matrix(p1, "p1")
+    r2 = polarization_matrix(p2, "p2")
     rho_in = r1[:, None, :, None] * r2[None, :, None, :]  # [a, b, c, d]
     return (
         rho_in.reshape(4, 4),

@@ -37,10 +37,10 @@ from .spin import (
     to_bell_basis,
 )
 
-__all__ = ["SuiteResult", "run_all_suites"]
+__all__ = ["MAX_SEED_OFFSET", "SuiteResult", "run_all_suites"]
 
 # the largest offset run_all_suites adds to its seed
-_MAX_SEED_OFFSET = 20246
+MAX_SEED_OFFSET = 20246
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def suite_c3_symmetry(samples: int = 20_000, seed: int = 20245) -> SuiteResult:
     return SuiteResult("c3-exchange-symmetry", worst == 0.0, worst, 0.0)
 
 
-def suite_c3_free_limit(samples: int = 200_000, seed: int = 20246) -> SuiteResult:
+def suite_c3_free_limit(samples: int = McConfig.samples, seed: int = 20246) -> SuiteResult:
     """Plane-wave-limit Monte Carlo vs. the exact factorized integral."""
     kin = build_coplanar(2.0, 0.75, math.radians(45.0), math.radians(-60.0), -0.5)
     cfg = McConfig(samples=samples, seed=seed, r_max=14.0, debug_free_limit=True)
@@ -211,7 +211,7 @@ def suite_c3_free_limit(samples: int = 200_000, seed: int = 20246) -> SuiteResul
     )
 
 
-def run_all_suites(mc_samples: int = 200_000, seed: int = 0) -> list[SuiteResult]:
+def run_all_suites(mc_samples: int = McConfig.samples, seed: int = 0) -> list[SuiteResult]:
     """Run and time every oracle suite; MC budgets scale with ``mc_samples``."""
     suites = [
         lambda: suite_pure_concurrence(seed=20240 + seed),
@@ -220,7 +220,7 @@ def run_all_suites(mc_samples: int = 200_000, seed: int = 0) -> list[SuiteResult
         lambda: suite_chsh(seed=20243 + seed),
         lambda: suite_pwba_symmetry(seed=20244 + seed),
         lambda: suite_c3_symmetry(samples=max(1000, mc_samples // 10), seed=20245 + seed),
-        lambda: suite_c3_free_limit(samples=mc_samples, seed=_MAX_SEED_OFFSET + seed),
+        lambda: suite_c3_free_limit(samples=mc_samples, seed=MAX_SEED_OFFSET + seed),
     ]
     results = []
     for suite in suites:

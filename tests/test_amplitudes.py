@@ -40,15 +40,6 @@ class TestHydrogenPosition:
         )
         assert abs(val - 1.0) < 1e-10
 
-    def test_scaled_charge(self):
-        z = 1.7
-        v = hydrogen_1s_position([0.0, 0.3, 0.4], z)
-        assert v == pytest.approx(math.sqrt(z**3 / math.pi) * math.exp(-0.5 * z), rel=1e-14)
-
-    def test_invalid_charge(self):
-        with pytest.raises(ValueError):
-            hydrogen_1s_position([0.0, 0.0, 0.0], 0.0)
-
 
 class TestHydrogenMomentum:
     def test_origin_value(self):
@@ -215,8 +206,8 @@ class TestFreeLimitClosedForm:
 
 
 def _symmetric_point(model, **over):
-    """1x1 amplitude grids at e0 = 2, e_t = -0.5 hartree, theta = +-0.6 rad."""
-    data = {"model": model, "e0_ev": 2.0 * HARTREE_EV, "et_ev": -0.5 * HARTREE_EV, **over}
+    """1x1 amplitude grids at e0 = 2 hartree, equal sharing, theta = +-0.6 rad."""
+    data = {"model": model, "e0_ev": 2.0 * HARTREE_EV, **over}
     th = math.degrees(0.6)
     return amplitude_grids(parse_config(data), theta_a_deg=[th], theta_b_deg=[-th])
 

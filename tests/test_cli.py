@@ -151,13 +151,17 @@ class TestExitCodes:
             # a quoted number is a string, not a real
             ({"e0_ev": "54.4"}, "e0_ev"),
             ({"eb_ev": "5"}, "eb_ev"),
-            ({"et_ev": "-13.6"}, "et_ev"),
+            ({"et_ev": -13.6}, "unknown"),  # the H(1s) binding energy is not a setting
             ({"theta_min_deg": "-180"}, "theta_min_deg"),
             ({"theta_max_deg": "180"}, "theta_max_deg"),
             ({"step_deg": "90"}, "step_deg"),
             ({"threshold_frac": "0.01"}, "threshold_frac"),
             ({"mc": {"r_max": "14"}}, "mc.r_max"),
             ({"scenario": "custom", "p1": [0, 0, "0.5"], "p2": [0, 0, 1]}, "p1"),
+            # |p1| passes a math.sqrt bound but not spin's np.linalg.norm one
+            ({"scenario": "custom",
+              "p1": [0.4339412657414101, -0.8114603922687387, 0.3914422175338375],
+              "p2": [0, 0, 0.3]}, "p1"),
         ],
     )
     def test_malformed_value_is_config_error(self, capsys, tmp_path, data, key):
@@ -221,11 +225,16 @@ class TestExitCodes:
         assert out == ""
         assert "must lie in [-pi, pi], got nan" in err
 
-    def test_missing_config_file(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "scan", "--config", "/nonexistent/cfg.json"
-        )
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non_utf8"])
+    def test_missing_config_file(self, capsys, tmp_path, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non_utf8":
+            path.write_bytes(b'{"model": "\xff"}')
+        code, _, err = run_cli(capsys, "scan", "--config", str(path))
         assert code == EXIT_CONFIG
+        assert "configuration error" in err
 
     def test_closed_channel_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "closed.json"

@@ -14,10 +14,9 @@ from e2espin.kinematics import (
 from e2espin.scan import observables_from_amplitudes, parse_config
 from e2espin.spin import AmplitudePair
 
-# the energies of the kinematics below: E0 = 2, E_B = 0.75, E_T = -0.5 hartree
-CORE_CFG = parse_config(
-    {"e0_ev": 2.0 * HARTREE_EV, "eb_ev": 0.75 * HARTREE_EV, "et_ev": -0.5 * HARTREE_EV}
-)
+# E0 = 2, E_B = 0.75 hartree and hydrogen's E_T; the core oracles below
+# build their kinematics from these energies
+CORE_CFG = parse_config({"e0_ev": 2.0 * HARTREE_EV, "eb_ev": 0.75 * HARTREE_EV})
 
 
 def random_amps(rng):
@@ -28,6 +27,12 @@ def random_amps(rng):
 def random_amp_arrays(rng, n):
     z = rng.standard_normal((4, n))
     return z[0] + 1j * z[1], z[2] + 1j * z[3]
+
+
+def core_kinematics():
+    """Kinematics at the CORE_CFG energies, theta_A = 0.7, theta_B = -0.3 rad."""
+    e0, eb, et = CORE_CFG.energies_hartree()
+    return build_coplanar(e0, eb, 0.7, -0.3, et)
 
 
 def core(td, te):
@@ -104,7 +109,7 @@ class TestTdcsBasic:
         assert np.array_equal(obs["i_triplet"], 0.75 * obs["i_par"])
 
     def test_singlet_plus_triplet_is_spin_averaged(self):
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.3, -0.5)
+        kin = core_kinematics()
         td, te = random_amp_arrays(np.random.default_rng(53), 200)
         obs = core(td, te)
         np.testing.assert_allclose(obs["i_singlet"] + obs["i_triplet"], obs["tdcs"],
@@ -123,7 +128,7 @@ class TestTdcsBasic:
 
 class TestTdcsPolarized:
     def test_antiparallel_limit(self):
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.3, -0.5)
+        kin = core_kinematics()
         rng = np.random.default_rng(55)
         for _ in range(100):
             amps = random_amps(rng)
@@ -133,7 +138,7 @@ class TestTdcsPolarized:
             )
 
     def test_unpolarized_average(self):
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.3, -0.5)
+        kin = core_kinematics()
         rng = np.random.default_rng(56)
         for _ in range(100):
             amps = random_amps(rng)
@@ -144,7 +149,7 @@ class TestTdcsPolarized:
 
     def test_parallel_limit_equals_i_par(self):
         # (|t_d|^2 + |t_e|^2 - 2 Re t_d t_e*) == |t_d - t_e|^2 for all amplitudes
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.3, -0.5)
+        kin = core_kinematics()
         rng = np.random.default_rng(57)
         for _ in range(500):
             amps = random_amps(rng)
@@ -154,7 +159,7 @@ class TestTdcsPolarized:
             )
 
     def test_domain(self):
-        kin = build_coplanar(2.0, 0.75, 0.7, -0.3, -0.5)
+        kin = core_kinematics()
         with pytest.raises(ValueError):
             tdcs_polarized(AmplitudePair(1.0, 0.5), 1.5, kin)
 

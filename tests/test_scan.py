@@ -99,6 +99,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="magnitude"):
             parse_config({"scenario": "custom", "p1": [0, 0, 2], "p2": [0, 0, 0]})
 
+    def test_polarization_bound_is_the_pair_matrix_bound(self):
+        # vectors within +-3 ulp of the bound 1 + 1e-12: parse_config accepts
+        # exactly the vectors that spin.pair_matrix accepts
+        rng = np.random.default_rng(1212)
+        bound = 1.0 + 1e-12
+        accepted = rejected = 0
+        for _ in range(20_000):
+            u = rng.standard_normal(3)
+            p = u / np.linalg.norm(u) * (bound + int(rng.integers(-3, 4)) * np.spacing(bound))
+            try:
+                pair_matrix(1.0, 0.5, p, np.zeros(3))
+                spin_ok = True
+            except ValueError:
+                spin_ok = False
+            try:
+                parse_config({"scenario": "custom", "p1": p.tolist(), "p2": [0, 0, 0]})
+                config_ok = True
+            except ConfigError as exc:
+                assert str(exc).startswith("p1 ")
+                config_ok = False
+            assert config_ok == spin_ok, p.tolist()
+            accepted += spin_ok
+            rejected += not spin_ok
+        assert accepted and rejected
+
     def test_eb_conflicts_with_equal_sharing(self):
         with pytest.raises(ConfigError, match="equal_sharing"):
             parse_config({"eb_ev": 20.0, "equal_sharing": True})
@@ -111,7 +136,8 @@ class TestConfigParsing:
             parse_config({"eb_ev": 60.0})
 
     def test_positive_binding_rejected(self):
-        with pytest.raises(ConfigError, match="et_ev"):
+        # the target is H(1s): its binding energy is not a setting
+        with pytest.raises(ConfigError, match=r"unknown configuration key\(s\): et_ev"):
             parse_config({"et_ev": 13.6})
 
     def test_mc_validation_bubbles_up(self):
