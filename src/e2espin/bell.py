@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import PAULI, AmplitudePair, DegenerateStateError, product_matrix
+from .spin import AmplitudePair, DegenerateStateError, dot_sigma, product_matrix, unit_vector
 
 __all__ = [
     "DetectorSettings",
@@ -48,31 +48,15 @@ class DetectorSettings:
     b2: tuple = (-_S, 0.0, _S)
 
     def vectors(self):
-        out = []
-        for name in ("a1", "a2", "b1", "b2"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"setting {name} must be a 3-vector")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError(f"setting {name} must be a unit vector")
-            out.append(v)
-        return out
+        return [unit_vector(getattr(self, n), f"setting {n}") for n in ("a1", "a2", "b1", "b2")]
 
 
 DEFAULT_SETTINGS = DetectorSettings()
 
 
-def _dot_sigma(n) -> np.ndarray:
-    return n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2]
-
-
 def chsh_operator(settings: DetectorSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """4x4 Hermitian CHSH operator in the product basis."""
-    a1, a2, b1, b2 = settings.vectors()
-    op_a1 = _dot_sigma(a1)
-    op_a2 = _dot_sigma(a2)
-    op_b1 = _dot_sigma(b1)
-    op_b2 = _dot_sigma(b2)
+    op_a1, op_a2, op_b1, op_b2 = (dot_sigma(v) for v in settings.vectors())
     return np.kron(op_a1, op_b1 - op_b2) + np.kron(op_a2, op_b1 + op_b2)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import DEFAULT_SETTINGS, DetectorSettings, chsh_expectation
-from .spin import PAULI, product_matrix
+from .spin import dot_sigma, product_matrix, unit_vector
 
 __all__ = [
     "CoincidenceCounts",
@@ -54,14 +54,9 @@ class CoincidenceCounts:
 def outcome_probabilities(rho, a, b) -> np.ndarray:
     """Joint outcome probabilities (P++, P+-, P-+, P--) for one setting pair."""
     m = product_matrix(rho)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for name, v in (("a", a), ("b", b)):
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise ValueError(f"setting {name} must be a unit 3-vector")
+    sa = dot_sigma(unit_vector(a, "setting a"))
+    sb = dot_sigma(unit_vector(b, "setting b"))
     eye = np.eye(2, dtype=complex)
-    sa = a[0] * PAULI[0] + a[1] * PAULI[1] + a[2] * PAULI[2]
-    sb = b[0] * PAULI[0] + b[1] * PAULI[1] + b[2] * PAULI[2]
     probs = []
     for s1 in (1.0, -1.0):
         pa = 0.5 * (eye + s1 * sa)

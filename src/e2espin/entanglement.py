@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .spin import product_matrix
+from .spin import is_unit_norm, product_matrix
 
 __all__ = [
     "concurrence_wootters",
@@ -34,18 +34,6 @@ _YY = np.array(
         [-1.0, 0.0, 0.0, 0.0],
     ]
 )
-
-
-def _as_product_matrix(rho) -> np.ndarray:
-    m = product_matrix(rho)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > 1e-10:
-        raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(m)
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density matrix trace is {tr}, expected 1")
-    return m
 
 
 def wootters_batch(rhos: np.ndarray) -> np.ndarray:
@@ -72,7 +60,7 @@ def wootters_batch(rhos: np.ndarray) -> np.ndarray:
 
 def concurrence_wootters(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix (product basis)."""
-    return float(wootters_batch(_as_product_matrix(rho)))
+    return float(wootters_batch(product_matrix(rho)))
 
 
 def _pure_form(td, te, dot: float) -> np.ndarray:
@@ -111,7 +99,7 @@ def concurrence_closed_form(td, te, p1, p2):
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     m1, m2 = float(np.linalg.norm(p1)), float(np.linalg.norm(p2))
-    unit1, unit2 = abs(m1 - 1.0) < 1e-12, abs(m2 - 1.0) < 1e-12
+    unit1, unit2 = is_unit_norm(m1), is_unit_norm(m2)
     if unit1 and unit2:
         return _pure_form(td, te, float(p1 @ p2))
     if (unit1 and m2 == 0.0) or (m1 == 0.0 and unit2):
@@ -157,12 +145,7 @@ def entanglement_of_formation(c):
 
 def von_neumann_entropy(rho1) -> float:
     """-Tr(rho log2 rho) of a single-electron density matrix."""
-    m = np.asarray(rho1, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 reduced density matrix")
-    if np.abs(m - m.conj().T).max() > 1e-10:
-        raise ValueError("reduced density matrix is not Hermitian")
-    w = np.linalg.eigvalsh(m)
+    w = np.linalg.eigvalsh(product_matrix(rho1, 2))
     if w.min() < -1e-8:
         raise ValueError(f"reduced density matrix has eigenvalue {w.min():.3g} < 0")
     return sum(_binary_entropy_term(float(x)) for x in w)
@@ -176,7 +159,5 @@ def _binary_entropy_term(x: float) -> float:
 
 def linear_entropy(rho1) -> float:
     """1 - Tr(rho^2) of a single-electron density matrix."""
-    m = np.asarray(rho1, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 reduced density matrix")
+    m = product_matrix(rho1, 2)
     return 1.0 - float(np.trace(m @ m).real)

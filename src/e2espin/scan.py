@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -257,6 +258,8 @@ def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, 
         return c3mc.c3_pair(build_coplanar(e0, eb, *angles, et), cfg.mc)
 
     points = [(float(a), float(b)) for a in ta_rad for b in tb_rad]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(points), cpus or 1)  # the pool starts a thread per point up to this
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             estimates = list(pool.map(do_point, points))

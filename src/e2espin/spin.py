@@ -29,6 +29,11 @@ rho_out = T rho_in T^dag / Tr(T rho_in T^dag).  ``pair_matrix`` builds
 the unnormalized T rho_in T^dag from the two polarization vectors;
 ``rho_pure`` (the spinor route) and ``rho_bell_closed_form`` are its
 independent oracles.
+
+The spin-state input rules live here and nowhere else, with one
+tolerance of 1e-12: ``unit_vector`` (a finite 3-vector of norm 1),
+``polarization_matrix`` (norm at most 1), ``dot_sigma`` (n.sigma) and
+``product_matrix`` (a Hermitian matrix of unit trace).
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ __all__ = [
     "SpinDensityMatrix",
     "PAULI",
     "BELL_TO_PRODUCT",
+    "unit_vector",
+    "is_unit_norm",
+    "dot_sigma",
     "bloch_spinor",
     "spinor_from_polarization",
     "pauli_expectation",
@@ -84,9 +92,8 @@ BELL_TO_PRODUCT = np.array(
     dtype=complex,
 ) / _SQRT2
 
-_HERM_TOL = 1e-12
-_TRACE_TOL = 1e-12
-_PSD_TOL = -1e-10
+# |norm - 1|, Hermiticity and |trace - 1| of a spin-state input
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,27 +112,33 @@ class SpinDensityMatrix:
     basis: str  # "product" or "bell"
 
     def validate(self) -> "SpinDensityMatrix":
-        m = self.matrix
-        if m.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got {m.shape}")
         if self.basis not in ("product", "bell"):
             raise ValueError(f"unknown basis tag {self.basis!r}")
-        if np.abs(m - m.conj().T).max() > _HERM_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > _TRACE_TOL or abs(np.trace(m).imag) > _TRACE_TOL:
-            raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(m).min() < _PSD_TOL:
+        m = product_matrix(self.matrix)  # Hermiticity and trace are basis-free
+        if np.linalg.eigvalsh(m).min() < -1e-10:
             raise ValueError("density matrix has a negative eigenvalue")
         return self
 
 
-def product_matrix(rho) -> np.ndarray:
-    """The matrix of a product-basis ``SpinDensityMatrix``, or ``rho`` as an array."""
+def product_matrix(rho, dim: int = 4) -> np.ndarray:
+    """The checked matrix of a product-basis ``SpinDensityMatrix`` or array.
+
+    The one density-matrix rule: ``dim`` x ``dim`` (4 for the pair, 2
+    for one electron), Hermitian and of unit trace, both within 1e-12.
+    """
     if isinstance(rho, SpinDensityMatrix):
         if rho.basis != "product":
             raise ValueError(f"expected a product-basis density matrix, got basis {rho.basis!r}")
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
+        rho = rho.matrix
+    m = np.asarray(rho, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {m.shape}")
+    if not np.abs(m - m.conj().T).max() <= _TOL:  # NaN fails this too
+        raise ValueError("density matrix is not Hermitian")
+    tr = np.trace(m)
+    if not abs(tr - 1.0) <= _TOL:
+        raise ValueError(f"density matrix trace is {tr}, expected 1")
+    return m
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -149,19 +162,30 @@ def bloch_spinor(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def _unit3(v, name: str = "vector") -> np.ndarray:
+def is_unit_norm(m: float) -> bool:
+    """Whether a vector norm ``m`` counts as 1: |m - 1| <= 1e-12 (NaN does not)."""
+    return abs(m - 1.0) <= _TOL
+
+
+def unit_vector(v, name: str) -> np.ndarray:
+    """``v`` as a float array, if it is a unit direction; ``name`` labels it in errors."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector")
     n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > 1e-8:
-        raise ValueError(f"{name} must have unit norm, |{name}| = {n:.12g}")
+    if not is_unit_norm(n):
+        raise ValueError(f"{name} must be a unit vector, |{name}| = {n:.12g}")
     return v
 
 
-def spinor_from_polarization(zeta) -> np.ndarray:
+def dot_sigma(n) -> np.ndarray:
+    """The 2x2 spin operator n.sigma of a 3-vector ``n``."""
+    return n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2]
+
+
+def spinor_from_polarization(zeta, name: str = "zeta") -> np.ndarray:
     """Spin-up spinor along the unit polarization vector ``zeta``."""
-    zeta = _unit3(zeta, "zeta")
+    zeta = unit_vector(zeta, name)
     theta = math.acos(min(1.0, max(-1.0, zeta[2])))
     phi = math.atan2(zeta[1], zeta[0]) % (2.0 * math.pi)
     return bloch_spinor(theta, phi)
@@ -206,7 +230,7 @@ def polarization_matrix(p, name: str) -> np.ndarray:
     if p.shape != (3,):
         raise ValueError(f"polarization {name} must be a 3-vector")
     m = float(np.linalg.norm(p))
-    if not m <= 1.0 + 1e-12:  # NaN fails this too
+    if not m - 1.0 <= _TOL:  # the comparison of is_unit_norm; NaN fails it too
         raise ValueError(f"polarization magnitudes must be <= 1, |{name}| = {m:.12g}")
     x, y, z = p
     return 0.5 * np.array([[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]])
@@ -253,10 +277,8 @@ def rho_pure(amps: AmplitudePair, zeta1, zeta2) -> SpinDensityMatrix:
     Rank-1 projector onto the (normalized) pair state built from the
     unit polarization vectors zeta1 and zeta2.
     """
-    z1 = _unit3(zeta1, "zeta1")
-    z2 = _unit3(zeta2, "zeta2")
-    chi = spinor_from_polarization(z1)
-    eta = spinor_from_polarization(z2)
+    chi = spinor_from_polarization(zeta1, "zeta1")
+    eta = spinor_from_polarization(zeta2, "zeta2")
     x = pair_state(amps, chi, eta)
     u = float(np.vdot(x, x).real)
     scale = abs(amps.t_d) ** 2 + abs(amps.t_e) ** 2
@@ -325,9 +347,7 @@ def rho_bell_closed_form(amps: AmplitudePair, pol1, pol2) -> SpinDensityMatrix:
 
 def reduced_density(rho: SpinDensityMatrix, keep: str = "first") -> np.ndarray:
     """Partial trace of a product-basis pair matrix onto one electron."""
-    if rho.basis != "product":
-        raise ValueError("reduced_density expects a product-basis matrix")
-    m = rho.matrix.reshape(2, 2, 2, 2)
+    m = product_matrix(rho).reshape(2, 2, 2, 2)
     if keep == "first":
         return np.einsum("ijkj->ik", m)
     if keep == "second":

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from e2espin import scan
 from e2espin.amplitudes import McConfig
 from e2espin.bell import TSIRELSON_BOUND, chsh_expectation
 from e2espin.entanglement import concurrence_wootters, entanglement_of_formation
@@ -339,6 +340,35 @@ class TestRunScanC3:
         b, _ = run_scan(cfg, workers=3)
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    @pytest.mark.parametrize(
+        "workers, cpus, expected", [(100_000, 64, 4), (100_000, 3, 3), (2, 64, 2)]
+    )
+    def test_worker_pool_is_capped_by_points_and_cpus(self, monkeypatch, workers, cpus, expected):
+        # a recording executor that maps serially: no thread is started
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(scan, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = parse_config({"model": "c3", "theta_min_deg": -90.0, "theta_max_deg": 0.0,
+                            "step_deg": 90.0, "mc": {"samples": 2000, "seed": 5}})
+        td, te, covs = amplitude_grids(cfg, workers=workers)
+        assert pools == [expected]
+        serial = amplitude_grids(cfg, workers=1)
+        assert all(np.array_equal(x, y) for x, y in zip((td, te, covs), serial))
 
 
 def c3_grids(theta_min, theta_max, step, **over):

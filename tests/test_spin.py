@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 import e2espin
-from e2espin.bell import chsh_expectation
-from e2espin.bellsim import outcome_probabilities
-from e2espin.entanglement import concurrence_wootters
+from e2espin.bell import DetectorSettings, chsh_expectation
+from e2espin.bellsim import outcome_probabilities, sample_coincidences, simulate_chsh
+from e2espin.entanglement import (
+    concurrence_closed_form,
+    concurrence_wootters,
+    linear_entropy,
+    von_neumann_entropy,
+)
 from e2espin.spin import (
     BELL_TO_PRODUCT,
     _pair_kernels,
@@ -20,6 +25,8 @@ from e2espin.spin import (
     pair_matrix,
     pair_state,
     pauli_expectation,
+    polarization_matrix,
+    product_matrix,
     reduced_density,
     rho_bell_closed_form,
     rho_mixed,
@@ -34,6 +41,17 @@ XHAT = np.array([1.0, 0.0, 0.0])
 
 # product-basis singlet (ud - du)/sqrt(2)
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+RHO_SINGLET = np.outer(PSI_MINUS, PSI_MINUS.conj())
+
+# every consumer of a pair density matrix, with valid settings
+PAIR_CONSUMERS = {
+    "concurrence_wootters": concurrence_wootters,
+    "chsh_expectation": chsh_expectation,
+    "outcome_probabilities": lambda rho: outcome_probabilities(rho, ZHAT, XHAT),
+    "sample_coincidences": lambda rho: sample_coincidences(rho, ZHAT, XHAT, 10, 0),
+    "simulate_chsh": lambda rho: simulate_chsh(rho, 10, 0),
+    "reduced_density": reduced_density,
+}
 
 
 def random_amps(rng):
@@ -255,20 +273,84 @@ class TestBranchKernels:
             pair_matrix(1.0, 0.5, p1, p2)
 
 
+def _non_hermitian(m, eps=1e-11):
+    m = np.array(m, dtype=complex)
+    m[0, 1] += eps
+    return m
+
+
+BAD_PAIR_MATRICES = {
+    "trace_2": 2.0 * RHO_SINGLET,  # unchecked, its CHSH value 5.66 exceeds Tsirelson
+    "trace_1_plus_1e-11": (1.0 + 1e-11) * RHO_SINGLET,
+    "identity": np.eye(4, dtype=complex),
+    "non_hermitian_1e-11": _non_hermitian(RHO_SINGLET),
+    "non_hermitian": _non_hermitian(np.eye(4) / 4.0, 0.5),
+    "3x3": np.eye(3, dtype=complex) / 3.0,
+    "nan": np.full((4, 4), math.nan, dtype=complex),
+}
+
+
 class TestProductMatrix:
-    @pytest.mark.parametrize(
-        "consumer",
-        [
-            concurrence_wootters,
-            chsh_expectation,
-            lambda rho: outcome_probabilities(rho, ZHAT, XHAT),
-        ],
-        ids=["concurrence_wootters", "chsh_expectation", "outcome_probabilities"],
-    )
+    @pytest.mark.parametrize("consumer", list(PAIR_CONSUMERS.values()), ids=list(PAIR_CONSUMERS))
     def test_bell_basis_matrix_is_rejected(self, consumer):
         rho = to_bell_basis(rho_pure(AmplitudePair(1.0, 0.5), ZHAT, XHAT))
         with pytest.raises(ValueError, match="product-basis"):
             consumer(rho)
+
+    @pytest.mark.parametrize("bad", list(BAD_PAIR_MATRICES.values()), ids=list(BAD_PAIR_MATRICES))
+    @pytest.mark.parametrize("consumer", list(PAIR_CONSUMERS.values()), ids=list(PAIR_CONSUMERS))
+    def test_non_density_matrix_is_rejected(self, consumer, bad):
+        with pytest.raises(ValueError, match="density matrix"):
+            consumer(bad)
+        with pytest.raises(ValueError, match="density matrix"):
+            consumer(SpinDensityMatrix(bad, "product"))
+
+    @pytest.mark.parametrize("entropy", [von_neumann_entropy, linear_entropy])
+    @pytest.mark.parametrize(
+        "bad",
+        [5.0 * np.eye(2), _non_hermitian(np.eye(2) / 2.0)],
+        ids=["5I", "non_hermitian_1e-11"],
+    )
+    def test_entropies_reject_non_density_matrices(self, entropy, bad):
+        with pytest.raises(ValueError, match="density matrix"):
+            entropy(bad)
+
+    def test_valid_matrices_pass_through_unchanged(self):
+        # the check returns the very array, so no consumer's bits move
+        rho = rho_mixed(AmplitudePair(1.0, 0.5), 0.6 * XHAT, [0.3, 0.0, 0.4])
+        assert product_matrix(rho) is rho.matrix
+        assert to_bell_basis(rho).validate().basis == "bell"
+
+
+class TestUnitDirectionRule:
+    def test_every_consumer_draws_the_same_line(self):
+        # norms within +-3 ulp of 1 +- 1e-12, plus 1 + 1e-9 and 1 + 1e-11
+        rng = np.random.default_rng(1313)
+        vectors = [(1.0 + 1e-9) * ZHAT, (1.0 + 1e-11) * XHAT]
+        for _ in range(20_000):
+            u = rng.standard_normal(3)
+            bound = 1.0 + float(rng.choice([-1e-12, 1e-12]))
+            vectors.append(u / np.linalg.norm(u) * (bound + int(rng.integers(-3, 4)) * np.spacing(bound)))
+        amps = AmplitudePair(1.0, 0.5)
+        accepted = 0
+        for v in vectors:
+            verdicts = []
+            for use in (
+                lambda: rho_pure(amps, v, XHAT),
+                lambda: DetectorSettings(a1=tuple(v)).vectors(),
+                lambda: outcome_probabilities(RHO_SINGLET, v, XHAT),
+            ):
+                try:
+                    use()
+                    verdicts.append(True)
+                except ValueError:
+                    verdicts.append(False)
+            verdicts.append(concurrence_closed_form(1.0, 0.5, v, XHAT) is not None)
+            assert len(set(verdicts)) == 1, (v.tolist(), verdicts)
+            if verdicts[0]:
+                polarization_matrix(v, "p")
+                accepted += 1
+        assert 0 < accepted < len(vectors) - 2
 
 
 def test_no_module_imports_another_modules_private_names():
