@@ -48,12 +48,13 @@ blocks with ``math.fsum``.
 
 Every 1F1 factor has the form 1F1(i*alpha; 1; i*x) with real x >= 0, so
 the kernel reads it from a ``Coulomb1F1Table``: one per distinct wave
-|k| (alpha = Z/|k|) on [0, 2|k| r_max] and one for the correlation
-factor (alpha = -1/(2|k_ab|)) on [0, 4|k_ab| r_max].  These ranges hold
-every argument inside the r_max ball; the zero-weight samples outside it
-are clamped into the table.  A table value depends only on its own
-argument, so bitwise-equal momenta in the paired variants of symmetric
-kinematics give exactly t_d == t_e, however the samples are batched.
+|k| (alpha = Z/|k|) on [0, 2|k| r_max], cached across points, and one
+for the correlation factor (alpha = -1/(2|k_ab|)) on [0, 4|k_ab| r_max],
+built per point.  These ranges hold every argument inside the r_max
+ball; the zero-weight samples outside it are clamped into the table.  A
+table value depends only on its own argument, so bitwise-equal momenta
+in the paired variants of symmetric kinematics give exactly t_d == t_e,
+however the samples are batched.
 
 Randomness comes from counter-based Philox streams keyed by the seed and
 a blake2b word of the physical point: e0, e_t (exact float64) and the
@@ -67,9 +68,11 @@ bits.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,14 +197,24 @@ def _draw(key: np.ndarray, block: int, n: int, r_max: float):
         return r1, r1mag, r2, r2mag, p1 * p2
 
 
+# Wave tables by exact (alpha, x_max).  Every point of one energy sharing
+# has the same wave |k|, so a scan builds each wave table once; the lock
+# keeps scan threads that miss at once from building it twice.
+_wave_table = functools.lru_cache(maxsize=64)(Coulomb1F1Table)
+_wave_lock = threading.Lock()
+
+
 def _coulomb_tables(kmags, kab_mag: float, r_max: float):
     """The 1F1 tables of one kernel: the waves by |k|, and the correlation factor.
 
     Each covers the arguments of the r_max ball: |k||r| + k.r <= 2|k| r_max
     for a wave, |k_ab||r12| + k_ab.r12 <= 4|k_ab| r_max with |r12| <= 2 r_max.
+    The wave tables come from a cache; the correlation table depends on
+    |k_ab|, which varies with the angles, and is built for each point.
     """
-    waves = {kmag: Coulomb1F1Table(1.0 / kmag, 2.0 * kmag * r_max)
-             for kmag in dict.fromkeys(kmags)}
+    with _wave_lock:
+        waves = {kmag: _wave_table(1.0 / kmag, 2.0 * kmag * r_max)
+                 for kmag in dict.fromkeys(kmags)}
     return waves, Coulomb1F1Table(-0.5 / kab_mag, 4.0 * kab_mag * r_max)
 
 

@@ -31,6 +31,13 @@ Output files are deterministic byte for byte: numbers are written in
 shortest round-trip decimal form, a 3C point's random stream follows
 from its kinematics alone (``c3mc``), and assembly is ordered no matter
 how many workers run the grid.
+
+At equal energy sharing a 3C scan estimates only the cells with
+theta_A <= theta_B (by grid index) and fills the others by relabeling
+the electrons: t_d(theta_A, theta_B) = t_e(theta_B, theta_A).  The
+stream key of ``c3mc`` holds the unordered electron pair, and the
+sampler treats the two electrons alike, so an estimate of the swapped
+point would give exactly these bits; the fill changes no output byte.
 """
 
 from __future__ import annotations
@@ -249,25 +256,43 @@ def resolve_polarizations(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(cfg.p1, dtype=float), np.asarray(cfg.p2, dtype=float)
 
 
+# the (Re t_d, Im t_d, Re t_e, Im t_e) order after relabeling the electrons
+_RELABELED = [2, 3, 0, 1]
+
+
 def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, workers: int):
-    """Per-point 3C amplitudes and TDCS-gradient covariances."""
+    """Per-point 3C amplitudes and TDCS-gradient covariances.
+
+    On a grid that relabeling the electrons maps onto itself, cell
+    (j, i) is cell (i, j) with the electrons swapped and is filled
+    from it (``amplitude_grids``).
+    """
     e0, eb, et = cfg.energies_hartree()
     na, nb = len(ta_rad), len(tb_rad)
+    # e_a as build_coplanar computes it
+    relabel = e0 + et - eb == eb and np.array_equal(ta_rad, tb_rad)
+    cells = [(i, j) for i in range(na) for j in range(i if relabel else 0, nb)]
 
-    def do_point(angles):
-        return c3mc.c3_pair(build_coplanar(e0, eb, *angles, et), cfg.mc)
+    def do_point(cell):
+        i, j = cell
+        kin = build_coplanar(e0, eb, float(ta_rad[i]), float(tb_rad[j]), et)
+        return c3mc.c3_pair(kin, cfg.mc)
 
-    points = [(float(a), float(b)) for a in ta_rad for b in tb_rad]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, len(points), cpus or 1)  # the pool starts a thread per point up to this
+    workers = min(workers, len(cells), cpus or 1)  # the pool starts a thread per cell up to this
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(do_point, points))
+            estimates = list(pool.map(do_point, cells))
     else:
-        estimates = [do_point(angles) for angles in points]
-    td = np.array([est.t_d for est in estimates], dtype=complex).reshape(na, nb)
-    te = np.array([est.t_e for est in estimates], dtype=complex).reshape(na, nb)
-    covs = np.array([est.cov for est in estimates]).reshape(na, nb, 4, 4)
+        estimates = [do_point(cell) for cell in cells]
+    td = np.empty((na, nb), dtype=complex)
+    te = np.empty((na, nb), dtype=complex)
+    covs = np.empty((na, nb, 4, 4))
+    for (i, j), est in zip(cells, estimates):
+        td[i, j], te[i, j], covs[i, j] = est.t_d, est.t_e, est.cov
+        if relabel and i != j:
+            td[j, i], te[j, i] = est.t_e, est.t_d
+            covs[j, i] = est.cov[np.ix_(_RELABELED, _RELABELED)]
     return td, te, covs
 
 
@@ -289,9 +314,14 @@ def amplitude_grids(cfg: ScanConfig, workers: int = 1, theta_a_deg=None, theta_b
 
     Both angle axes default to the configured grid; ``point`` passes one
     angle each.  A 3C estimate depends on its own angles only, not on the
-    grid around it.  The covariance array is None for the analytic Born
-    model.  The grids do not depend on the polarization scenario, so one
-    evaluation can feed several scenario assemblies.
+    grid around it.  When both axes are the same array and the outgoing
+    energies are bitwise equal, 3C estimates the cells i <= j and fills
+    cell (j, i) from cell (i, j) with t_d and t_e exchanged and the
+    covariance reordered: bit for bit what estimating the relabeled
+    point gives.  Every other grid estimates all cells.  The covariance
+    array is None for the analytic Born model.  The grids do not depend
+    on the polarization scenario, so one evaluation can feed several
+    scenario assemblies.
     """
     grid = cfg.grid_deg()
     ta = np.deg2rad(grid if theta_a_deg is None else theta_a_deg)

@@ -362,3 +362,13 @@ class TestCoulombTables:
                          (table.t_e - oracle.t_e).real, (table.t_e - oracle.t_e).imag])
         sigma = np.sqrt(np.diag(table.cov))
         assert np.all(np.abs(diff) <= 1e-3 * sigma)
+
+    def test_cached_wave_tables_change_no_bit(self):
+        cfg = McConfig(samples=20_000, seed=12)
+        c3mc._wave_table.cache_clear()
+        cold = c3mc.c3_pair(C3_POINT, cfg)
+        assert c3mc._wave_table.cache_info().currsize == 2  # unequal sharing: two |k|
+        warm = c3mc.c3_pair(C3_POINT, cfg)
+        assert c3mc._wave_table.cache_info().hits == 2
+        assert cold.t_d == warm.t_d and cold.t_e == warm.t_e
+        assert cold.cov.tobytes() == warm.cov.tobytes()

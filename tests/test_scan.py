@@ -1,14 +1,16 @@
 import json
 import math
 import re
+import time
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from e2espin import scan
-from e2espin.amplitudes import McConfig
+from e2espin import c3mc, scan, special
+from e2espin.amplitudes import HYDROGEN_ET_EV, McConfig
 from e2espin.bell import TSIRELSON_BOUND, chsh_expectation
 from e2espin.entanglement import concurrence_wootters, entanglement_of_formation
 from e2espin.kinematics import build_coplanar, tdcs_prefactor
@@ -341,8 +343,9 @@ class TestRunScanC3:
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    # the 2x2 equal-sharing grid estimates 3 cells (i <= j), so 3 caps the pool
     @pytest.mark.parametrize(
-        "workers, cpus, expected", [(100_000, 64, 4), (100_000, 3, 3), (2, 64, 2)]
+        "workers, cpus, expected", [(100_000, 64, 3), (100_000, 3, 3), (2, 64, 2)]
     )
     def test_worker_pool_is_capped_by_points_and_cpus(self, monkeypatch, workers, cpus, expected):
         # a recording executor that maps serially: no thread is started
@@ -396,10 +399,18 @@ class TestPhysicalStreams:
             assert np.array_equal(grid_a[1:, 1:], grid_b[:4, :4])
 
     def test_equal_sharing_relabeling_swaps_amplitudes(self):
-        # t_d(thetaA, thetaB) = t_e(thetaB, thetaA), bit for bit
-        td, te, _ = c3_grids(-90.0, 90.0, 30.0)
+        # t_d(thetaA, thetaB) = t_e(thetaB, thetaA), bit for bit, on a grid
+        # assembled from single rows, which estimate every cell
+        cfg = parse_config({"model": "c3", "e0_ev": 54.4, "theta_min_deg": -90.0,
+                            "theta_max_deg": 90.0, "step_deg": 30.0,
+                            "mc": {"samples": 2000, "seed": 3}})
+        thetas = cfg.grid_deg()
+        rows = [amplitude_grids(cfg, theta_a_deg=[t], theta_b_deg=thetas) for t in thetas]
+        td, te, covs = (np.concatenate([row[k] for row in rows]) for k in range(3))
         assert np.array_equal(td, te.T)
         assert np.count_nonzero(td) == 42  # all but the coincident diagonal
+        # the grid that fills cells by relabeling gives the same bits
+        assert all(same_bits(x, y) for x, y in zip(amplitude_grids(cfg), (td, te, covs)))
 
     def test_plus_and_minus_180_rows_share_a_stream(self):
         # sin(+-pi) differ by rounding, so the kinematics, and with one
@@ -409,6 +420,86 @@ class TestPhysicalStreams:
             for first, last in ((grid[0], grid[-1]), (grid[:, 0], grid[:, -1])):
                 assert np.all(np.abs(first - last) <= 1e-9 * np.abs(first))
         assert np.all(np.sqrt(covs[0, 1:4, 0, 0]) > 1e-3 * np.abs(td[0, 1:4]))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def recording(monkeypatch, module, name, pause=0.0) -> list:
+    """Wrap ``module.name`` so each call appends its positional arguments.
+
+    A ``pause`` (seconds) before each call lets other threads run into
+    the same code meanwhile.
+    """
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        time.sleep(pause)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+# the benchmark's c3_scan grid: 54.4 eV equal sharing, 11 x 11 angles
+C3_SCAN = {"model": "c3", "e0_ev": 54.4, "theta_min_deg": -150.0, "theta_max_deg": 150.0,
+           "step_deg": 30.0, "mc": {"samples": 20_000, "seed": 0}}
+
+
+class TestRelabelingFill:
+    # at equal sharing a 3C grid estimates the cells i <= j and fills the rest
+
+    def test_filled_cells_equal_independent_points(self):
+        # the +-180 rows and the theta_B = -theta_A cells included
+        cfg = parse_config({"model": "c3", "theta_min_deg": -180.0, "theta_max_deg": 180.0,
+                            "step_deg": 45.0, "mc": {"samples": 2000, "seed": 3}})
+        td, te, covs = amplitude_grids(cfg)
+        thetas = cfg.grid_deg()
+        for i, j in zip(*np.triu_indices(len(thetas), 1)):
+            ptd, pte, pcovs = amplitude_grids(cfg, theta_a_deg=[thetas[j]],
+                                              theta_b_deg=[thetas[i]])
+            assert same_bits(ptd[0, 0], td[j, i]) and same_bits(pte[0, 0], te[j, i])
+            assert same_bits(pcovs[0, 0], covs[j, i])
+
+    def test_c3_scan_estimates_half_and_builds_one_wave_table(self, monkeypatch):
+        pairs = recording(monkeypatch, c3mc, "c3_pair")
+        # the pause makes both scan threads miss the empty cache at once
+        kummer = recording(monkeypatch, special, "kummer_1f1", pause=0.01)
+        c3mc._wave_table.cache_clear()
+        amplitude_grids(parse_config(C3_SCAN), workers=2)
+        assert len(pairs) == 66  # 11 * 12 / 2, the coincident diagonal included
+        computed = sum(float((kin.k_a - kin.k_b) @ (kin.k_a - kin.k_b)) > 0.0
+                       for kin, _ in pairs)
+        assert computed == 55
+        # a correlation table per computed point, one wave table for them all
+        assert len(kummer) <= computed + 1
+
+    @pytest.mark.parametrize("over, calls", [
+        ({"eb_ev": 20.3971535}, 66),  # half of e0 + E_T, in binary too
+        ({"eb_ev": 5.0}, 121),
+        ({"e0_ev": 60.0, "eb_ev": 23.1971535}, 121),  # half in decimal only
+    ], ids=["bitwise_half", "eb_5", "decimal_half"])
+    def test_explicit_eb_is_reduced_at_bitwise_equal_energies(self, monkeypatch, over, calls):
+        cfg = parse_config({**C3_SCAN, **over, "mc": {"samples": 1000}})
+        e0, eb, et = cfg.energies_hartree()
+        assert (e0 + et - eb == eb) == (calls == 66)
+        if cfg.eb_ev != 5.0:
+            assert 2 * Decimal(repr(cfg.eb_ev)) == Decimal(repr(cfg.e0_ev)) + Decimal(
+                repr(HYDROGEN_ET_EV))
+        pairs = recording(monkeypatch, c3mc, "c3_pair")
+        amplitude_grids(cfg)
+        assert len(pairs) == calls
+
+    def test_different_axes_estimate_every_cell(self, monkeypatch):
+        cfg = parse_config({**C3_SCAN, "mc": {"samples": 1000}})
+        thetas = cfg.grid_deg()[:3]
+        pairs = recording(monkeypatch, c3mc, "c3_pair")
+        amplitude_grids(cfg, theta_a_deg=thetas, theta_b_deg=thetas[::-1])
+        assert len(pairs) == 9
 
 
 class TestCsv:
