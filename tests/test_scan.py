@@ -343,9 +343,11 @@ class TestRunScanC3:
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
-    # the 2x2 equal-sharing grid estimates 3 cells (i <= j), so 3 caps the pool
+    # the 2x2 equal-sharing grid estimates 3 cells (i <= j), so 3 caps the pool;
+    # only 2 CPUs, fewer than the estimated cells, make the CPU count the cap
     @pytest.mark.parametrize(
-        "workers, cpus, expected", [(100_000, 64, 3), (100_000, 3, 3), (2, 64, 2)]
+        "workers, cpus, expected",
+        [(100_000, 64, 3), (100_000, 3, 3), (100_000, 2, 2), (2, 64, 2)],
     )
     def test_worker_pool_is_capped_by_points_and_cpus(self, monkeypatch, workers, cpus, expected):
         # a recording executor that maps serially: no thread is started
