@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import AmplitudePair, DegenerateStateError, dot_sigma, product_matrix, unit_vector
+from .spin import (AmplitudePair, DegenerateStateError, dot_sigma, is_empty_pair,
+                   product_matrix, unit_vector)
 
 __all__ = [
     "DetectorSettings",
@@ -81,7 +82,7 @@ def chsh_closed_form(amps: AmplitudePair, pol1, pol2) -> float:
     re = (td * te.conjugate()).real
     ab2 = abs(td) ** 2 + abs(te) ** 2
     u = ab2 - re * (1.0 + float(z1 @ z2))
-    if u <= 1e-14 * (ab2 + 1e-300):
+    if is_empty_pair(u, td, te):
         raise DegenerateStateError("pair state vanishes (u = 0)")
     num = 2.0 * re * (1.0 - z1[1] * z2[1]) - ab2 * (z1[0] * z2[0] + z1[2] * z2[2])
     return math.sqrt(2.0) * num / u

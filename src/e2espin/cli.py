@@ -43,7 +43,7 @@ from .scan import (
     write_csv,
     write_pgm,
 )
-from .spin import AmplitudePair, reduced_density, rho_mixed
+from .spin import AmplitudePair, DegenerateStateError, reduced_density, rho_mixed
 from .validate import MAX_SEED_OFFSET, run_all_suites
 
 EXIT_OK = 0
@@ -88,10 +88,11 @@ def cmd_point(args) -> int:
 
     closed = concurrence_closed_form(td_grid, te_grid, p1, p2)
     closed = None if closed is None else closed[0, 0].item()
-    if td == 0.0 and te == 0.0:
+    try:
+        rho = rho_mixed(AmplitudePair(td, te), p1, p2)
+    except DegenerateStateError:  # an empty pair state: the core's zeros
         woot = s_vn = s_lin = chsh = 0.0
     else:
-        rho = rho_mixed(AmplitudePair(td, te), p1, p2)
         woot = concurrence_wootters(rho)
         red = reduced_density(rho, "first")
         s_vn = von_neumann_entropy(red)
@@ -146,8 +147,8 @@ def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    os.makedirs(cfg.output_dir, exist_ok=True)  # an unusable directory fails before the grid
     obs, thetas = run_scan(cfg, workers=args.workers)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     write_csv(obs, thetas, os.path.join(cfg.output_dir, "records.csv"))
     for name in ("tdcs", "concurrence", "eof", "bell_lhs", "asymmetry"):
         write_pgm(np.where(obs["measurable"], obs[name], 0.0),

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .spin import is_unit_norm, product_matrix
+from .spin import is_empty_pair, is_unit_norm, product_matrix
 
 __all__ = [
     "concurrence_wootters",
@@ -65,9 +65,8 @@ def concurrence_wootters(rho) -> float:
 
 def _pure_form(td, te, dot: float) -> np.ndarray:
     """Pure-state closed form on amplitude arrays, 0 where the state vanishes."""
-    ab2 = np.abs(td) ** 2 + np.abs(te) ** 2
-    u = ab2 - (td * np.conj(te)).real * (1.0 + dot)
-    good = (ab2 > 0.0) & (u > 1e-14 * ab2)
+    u = np.abs(td) ** 2 + np.abs(te) ** 2 - (td * np.conj(te)).real * (1.0 + dot)
+    good = ~is_empty_pair(u, td, te)
     out = np.zeros(np.shape(td))
     out[good] = np.abs(td[good]) * np.abs(te[good]) * (1.0 - dot) / u[good]
     return np.clip(out, 0.0, 1.0)
@@ -92,7 +91,7 @@ def concurrence_closed_form(td, te, p1, p2):
     and unit/zero (one electron unpolarized, where the pure form with
     perpendicular polarizations applies).  Any other pair has no closed
     form and gives None; ``concurrence_wootters`` of the averaged density
-    matrix covers it.  Points where both amplitudes vanish give 0.
+    matrix covers it.  An empty pair state (``spin``'s rule) gives 0.
     """
     td = np.asarray(td, dtype=complex)
     te = np.asarray(te, dtype=complex)

@@ -54,7 +54,7 @@ from . import c3mc
 from .amplitudes import HYDROGEN_ET_EV, McConfig, pwba_grid
 from .entanglement import concurrence_closed_form, entanglement_of_formation, wootters_batch
 from .kinematics import HARTREE_EV, build_coplanar, tdcs_prefactor
-from .spin import pair_matrix, polarization_matrix
+from .spin import is_empty_pair, pair_matrix, polarization_matrix
 
 __all__ = [
     "ConfigError",
@@ -297,15 +297,12 @@ def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, 
 
 
 def _wootters_grid(td, te, p1, p2) -> np.ndarray:
-    """Pointwise Wootters concurrence of the averaged pair density matrix."""
-    alive = np.abs(td) ** 2 + np.abs(te) ** 2 > 0.0
-    rhos = pair_matrix(td[alive], te[alive], p1, p2)
-    tr = np.trace(rhos, axis1=1, axis2=2).real
-    ok = tr > 0.0
-    c = np.zeros(len(rhos))
-    c[ok] = wootters_batch(rhos[ok] / tr[ok, None, None])
+    """Pointwise Wootters concurrence of the averaged pair density matrix, 0 where empty."""
+    rhos = pair_matrix(td, te, p1, p2)
+    tr = np.trace(rhos, axis1=-2, axis2=-1).real
+    ok = ~is_empty_pair(tr, td, te)
     out = np.zeros(td.shape)
-    out[alive] = c
+    out[ok] = wootters_batch(rhos[ok] / tr[ok, None, None])
     return out
 
 
@@ -343,8 +340,8 @@ def observables_from_amplitudes(cfg: ScanConfig, td, te, covs=None) -> dict:
     ``i_anti``, ``i_anti_direct``, ``i_anti_exchange``, ``i_singlet``,
     ``i_triplet``, then ``concurrence``, ``eof``, ``bell_lhs``,
     ``asymmetry``, ``measurable`` and, given covariances,
-    ``tdcs_stderr`` (delta method).  Points where both amplitudes
-    vanish give 0 for every observable.
+    ``tdcs_stderr`` (delta method).  Points where the pair state is empty
+    by ``spin``'s rule give 0 for ``concurrence``, ``eof`` and ``bell_lhs``.
     """
     e0, eb, et = cfg.energies_hartree()
     p1, p2 = resolve_polarizations(cfg)
@@ -360,11 +357,12 @@ def observables_from_amplitudes(cfg: ScanConfig, td, te, covs=None) -> dict:
     re = (td * np.conj(te)).real
     i_anti = pref * ab2
     i_par = pref * np.abs(td - te) ** 2
-    tdcs = pref * (ab2 - (1.0 + p_dot) * re)
+    u = ab2 - (1.0 + p_dot) * re  # the pair weight Tr(T rho_in T^dag)
+    tdcs = pref * u
 
     num = i_anti * (1.0 - p_dot) - i_par * (1.0 - p1y_p2y)
-    den = i_anti * (1.0 - p_dot) + i_par * (1.0 + p_dot)
-    flux = den > 0.0
+    den = i_anti * (1.0 - p_dot) + i_par * (1.0 + p_dot)  # 2 pref u
+    flux = ~is_empty_pair(u, td, te)
     bell_lhs = np.where(flux, num, 0.0) / np.where(flux, den, 1.0)
 
     den_a = i_anti + i_par

@@ -33,7 +33,8 @@ independent oracles.
 The spin-state input rules live here and nowhere else, with one
 tolerance of 1e-12: ``unit_vector`` (a finite 3-vector of norm 1),
 ``polarization_matrix`` (norm at most 1), ``dot_sigma`` (n.sigma) and
-``product_matrix`` (a Hermitian matrix of unit trace).
+``product_matrix`` (a Hermitian matrix of unit trace).  So does the
+empty pair state rule ``is_empty_pair``: Tr(T rho_in T^dag) <= 1e-14 (|t_d|^2 + |t_e|^2).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "BELL_TO_PRODUCT",
     "unit_vector",
     "is_unit_norm",
+    "is_empty_pair",
     "dot_sigma",
     "bloch_spinor",
     "spinor_from_polarization",
@@ -94,6 +96,7 @@ BELL_TO_PRODUCT = np.array(
 
 # |norm - 1|, Hermiticity and |trace - 1| of a spin-state input
 _TOL = 1e-12
+_EMPTY = 1e-14  # pair weight over |t_d|^2 + |t_e|^2 that counts as an empty pair state
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,11 @@ def bloch_spinor(theta: float, phi: float) -> np.ndarray:
 def is_unit_norm(m: float) -> bool:
     """Whether a vector norm ``m`` counts as 1: |m - 1| <= 1e-12 (NaN does not)."""
     return abs(m - 1.0) <= _TOL
+
+
+def is_empty_pair(u, td, te):
+    """Whether pair weight u counts as 0: u <= 1e-14 (|t_d|^2 + |t_e|^2); elementwise on arrays."""
+    return u <= _EMPTY * (np.abs(td) ** 2 + np.abs(te) ** 2)
 
 
 def unit_vector(v, name: str) -> np.ndarray:
@@ -281,13 +289,8 @@ def rho_pure(amps: AmplitudePair, zeta1, zeta2) -> SpinDensityMatrix:
     eta = spinor_from_polarization(zeta2, "zeta2")
     x = pair_state(amps, chi, eta)
     u = float(np.vdot(x, x).real)
-    scale = abs(amps.t_d) ** 2 + abs(amps.t_e) ** 2
-    if scale == 0.0:
-        raise DegenerateStateError("both amplitudes are zero")
-    if u <= 1e-14 * scale:
-        raise DegenerateStateError(
-            "pair state vanishes for these amplitudes and polarizations (u = 0)"
-        )
+    if is_empty_pair(u, amps.t_d, amps.t_e):
+        raise DegenerateStateError("pair state vanishes for these polarizations (u = 0)")
     return SpinDensityMatrix(_freeze(np.outer(x, x.conj()) / u), "product")
 
 
@@ -299,11 +302,9 @@ def rho_mixed(amps: AmplitudePair, p1, p2) -> SpinDensityMatrix:
     are unit vectors.
     """
     td, te = complex(amps.t_d), complex(amps.t_e)
-    if td == 0.0 and te == 0.0:
-        raise DegenerateStateError("both amplitudes are zero")
     rho = pair_matrix(td, te, p1, p2)
     tr = float(np.trace(rho).real)
-    if tr <= 1e-14 * (abs(td) ** 2 + abs(te) ** 2):
+    if is_empty_pair(tr, td, te):
         raise DegenerateStateError("averaged pair state has zero weight (u = 0)")
     return SpinDensityMatrix(_freeze(rho / tr), "product")
 
@@ -323,7 +324,7 @@ def rho_bell_closed_form(amps: AmplitudePair, pol1, pol2) -> SpinDensityMatrix:
     x2, y2, zz2 = z2
     dot = float(z1 @ z2)
     u = abs(td) ** 2 + abs(te) ** 2 - (1.0 + dot) * (td * te.conjugate()).real
-    if u <= 1e-14 * (abs(td) ** 2 + abs(te) ** 2):
+    if is_empty_pair(u, td, te):
         raise DegenerateStateError("pair state vanishes (u = 0)")
     dd = abs(td - te) ** 2
     ss = abs(td + te) ** 2

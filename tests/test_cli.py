@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from e2espin import c3mc
 from e2espin.bell import TSIRELSON_BOUND
 from e2espin.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from e2espin.validate import suite_chsh, run_all_suites
@@ -18,6 +19,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# parallel unit polarizations: the pair state is empty wherever t_d = t_e
+PARALLEL = {"scenario": "custom", "p1": [0, 0, 1], "p2": [0, 0, 1]}
 
 
 class TestPointCommand:
@@ -68,6 +73,27 @@ class TestPointCommand:
         assert rep["concurrence"]["closed_form"] is None
         assert 0.0 <= rep["concurrence"]["wootters"] <= 1.0
 
+    @pytest.mark.parametrize("theta_a, theta_b", [(45.0, -45.0), (30.0, 30.0)])
+    def test_empty_pair_state_reports_the_scan_row(self, capsys, tmp_path, theta_a, theta_b):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**PARALLEL, "step_deg": 15.0}))
+        code, out, _ = run_cli(capsys, "point", "--config", str(cfg),
+                               "--theta-a", str(theta_a), "--theta-b", str(theta_b))
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert run_cli(capsys, "scan", "--config", str(cfg),
+                       "--output-dir", str(tmp_path))[0] == EXIT_OK
+        rows = (tmp_path / "records.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        row = next(dict(zip(header, r.split(","))) for r in rows[1:]
+                   if r.startswith(f"{theta_a!r},{theta_b!r},"))
+        assert rep["tdcs"]["scenario_tdcs"] == float(row["tdcs"]) == 0.0
+        assert rep["concurrence"]["closed_form"] == float(row["concurrence"]) == 0.0
+        assert rep["entanglement_of_formation"] == float(row["eof"]) == 0.0
+        assert rep["chsh"]["bell_lhs"] == float(row["bell_lhs"]) == 0.0
+        assert rep["asymmetry"]["value"] == float(row["asymmetry"])
+        assert rep["concurrence"]["wootters"] == rep["chsh"]["expectation"] == 0.0
+
     def test_c3_point_reports_errors(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "c3", "mc": {"samples": 2000, "seed": 1}}))
@@ -114,6 +140,24 @@ class TestScanCommand:
             assert code == EXIT_OK
             outs.append((d / "records.csv").read_text())
         assert outs[0] != outs[1]
+
+    def test_output_dir_is_made_before_any_point_is_computed(self, capsys, tmp_path,
+                                                              monkeypatch):
+        calls = []
+        real = c3mc.c3_pair
+        monkeypatch.setattr(c3mc, "c3_pair", lambda *a: calls.append(a) or real(*a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "c3", "step_deg": 180.0, "mc": {"samples": 1000}}))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(capsys, "scan", "--config", str(cfg),
+                               "--output-dir", str(blocker / "sub"))
+        assert code == EXIT_NUMERIC and "i/o error" in err
+        assert calls == []
+        # the same scan into a directory reaches the estimator
+        code, _, _ = run_cli(capsys, "scan", "--config", str(cfg),
+                             "--output-dir", str(tmp_path / "out"))
+        assert code == EXIT_OK and calls
 
 
 class TestExitCodes:
@@ -247,12 +291,10 @@ class TestExitCodes:
     def test_numeric_error(self, capsys, tmp_path):
         cfg = tmp_path / "degenerate.json"
         # parallel unit polarizations annihilate the pair state wherever
-        # t_d = t_e, e.g. in symmetric kinematics
-        cfg.write_text(
-            json.dumps({"scenario": "custom", "p1": [0, 0, 1], "p2": [0, 0, 1]})
-        )
+        # t_d = t_e, e.g. in symmetric kinematics: there is no pair to measure
+        cfg.write_text(json.dumps(PARALLEL))
         code, _, err = run_cli(
-            capsys, "point", "--config", str(cfg), "--theta-a", "45", "--theta-b", "-45"
+            capsys, "bell-sim", "--config", str(cfg), "--theta-a", "45", "--theta-b", "-45"
         )
         assert code == EXIT_NUMERIC
         assert "numeric/model error" in err

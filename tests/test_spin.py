@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import e2espin
-from e2espin.bell import DetectorSettings, chsh_expectation
+from e2espin.bell import DetectorSettings, chsh_closed_form, chsh_expectation
 from e2espin.bellsim import outcome_probabilities, sample_coincidences, simulate_chsh
 from e2espin.entanglement import (
     concurrence_closed_form,
@@ -14,6 +14,7 @@ from e2espin.entanglement import (
     linear_entropy,
     von_neumann_entropy,
 )
+from e2espin.scan import observables_from_amplitudes, parse_config
 from e2espin.spin import (
     BELL_TO_PRODUCT,
     _pair_kernels,
@@ -22,6 +23,7 @@ from e2espin.spin import (
     SpinDensityMatrix,
     bell_coefficients,
     bloch_spinor,
+    is_empty_pair,
     pair_matrix,
     pair_state,
     pauli_expectation,
@@ -353,6 +355,50 @@ class TestUnitDirectionRule:
         assert 0 < accepted < len(vectors) - 2
 
 
+def _near_equal(ratio):
+    """(1, 1 + i d): at P1 = P2 = z its pair weight |t_d - t_e|^2 = d^2 is ``ratio`` s."""
+    return AmplitudePair(1.0 + 0.0j, complex(1.0, math.sqrt(2.0 * ratio / (1.0 - ratio))))
+
+
+# s = |t_d|^2 + |t_e|^2; at P1 = P2 = z the pair weight is |t_d - t_e|^2
+BOUNDARY_PAIRS = {
+    "t_d=t_e=0": (AmplitudePair(0.0j, 0.0j), True),
+    "u=0": (_near_equal(0.0), True),
+    "u=0.5e-14s": (_near_equal(0.5e-14), True),
+    "u=2e-14s": (_near_equal(2e-14), False),
+}
+
+
+class TestEmptyPairRule:
+    """Every consumer calls a pair state empty exactly where ``is_empty_pair`` does."""
+
+    @pytest.mark.parametrize("amps, empty", list(BOUNDARY_PAIRS.values()), ids=list(BOUNDARY_PAIRS))
+    def test_parallel_spins(self, amps, empty):
+        assert is_empty_pair(abs(amps.t_d - amps.t_e) ** 2, amps.t_d, amps.t_e) == empty
+        for consumer in (rho_pure, rho_mixed, rho_bell_closed_form, chsh_closed_form):
+            if empty:
+                with pytest.raises(DegenerateStateError):
+                    consumer(amps, ZHAT, ZHAT)
+            else:
+                consumer(amps, ZHAT, ZHAT)
+        cfg = parse_config({"scenario": "custom", "p1": [0, 0, 1], "p2": [0, 0, 1]})
+        obs = observables_from_amplitudes(cfg, np.array([[amps.t_d]]), np.array([[amps.t_e]]))
+        assert (obs["bell_lhs"][0, 0] == 0.0) == empty
+        if empty:
+            assert obs["concurrence"][0, 0] == 0.0 and obs["eof"][0, 0] == 0.0
+
+    def test_wootters_route(self):
+        # |P| < 1 - 1e-12 keeps u >= 5e-13 s, so only t_d = t_e = 0 is empty
+        cfg = parse_config({"scenario": "custom", "p1": [0, 0, 0.5], "p2": [0.3, 0, 0]})
+        pairs = [amps for amps, _ in BOUNDARY_PAIRS.values()]
+        td = np.array([[a.t_d for a in pairs]], dtype=complex)
+        te = np.array([[a.t_e for a in pairs]], dtype=complex)
+        u = np.abs(td) ** 2 + np.abs(te) ** 2 - (td * np.conj(te)).real
+        conc = observables_from_amplitudes(cfg, td, te)["concurrence"]
+        assert is_empty_pair(u, td, te).tolist() == [[True, False, False, False]]
+        assert ((conc == 0.0) == is_empty_pair(u, td, te)).all()
+
+
 def test_no_module_imports_another_modules_private_names():
     """Each module's underscore names stay inside it (the pair-matrix kernels in ``spin``)."""
     offenders = []
@@ -361,6 +407,33 @@ def test_no_module_imports_another_modules_private_names():
             if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module != path.stem:
                 offenders += [f"{path.name}: {node.module}.{a.name}"
                               for a in node.names if a.name.startswith("_")]
+    assert offenders == []
+
+
+def test_spin_owns_the_empty_pair_tolerance():
+    """1e-14 appears outside ``spin`` only as the spectral floor of ``wootters_batch``,
+    and ``cli`` decides no emptiness by comparing amplitudes with 0."""
+    package = Path(e2espin.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spin.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        floor = set()
+        if path.name == "entanglement.py":  # an eigenvalue floor, a different rule
+            func = next(n for n in ast.walk(tree)
+                        if isinstance(n, ast.FunctionDef) and n.name == "wootters_batch")
+            floor = {id(n) for n in ast.walk(func) if isinstance(n, ast.Constant)
+                     and n.value == 1e-14}
+            assert len(floor) == 1
+        offenders += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Constant) and isinstance(n.value, float)
+                      and n.value == 1e-14 and id(n) not in floor]
+    cli = ast.parse((package / "cli.py").read_text())
+    offenders += [f"cli.py:{n.lineno} == 0.0" for n in ast.walk(cli)
+                  if isinstance(n, ast.Compare) and any(isinstance(op, ast.Eq) for op in n.ops)
+                  and any(isinstance(c, ast.Constant) and isinstance(c.value, float)
+                          and c.value == 0.0 for c in (n.left, *n.comparators))]
     assert offenders == []
 
 
