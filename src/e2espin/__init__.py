@@ -8,11 +8,7 @@ amplitude models for atomic hydrogen.  Atomic units throughout.
 
 from .amplitudes import (
     McConfig,
-    coulomb_wave,
-    ee_correlation,
     free_limit_closed_form,
-    hydrogen_1s_momentum,
-    hydrogen_1s_position,
     pwba_amplitudes,
 )
 from .bell import (
@@ -34,7 +30,6 @@ from .bellsim import (
 from .c3mc import PairEstimate, c3_pair
 from .entanglement import (
     concurrence_closed_form,
-    concurrence_pure_from_state,
     concurrence_wootters,
     entanglement_of_formation,
     linear_entropy,
@@ -51,7 +46,6 @@ from .kinematics import (
 from .scan import (
     ConfigError,
     ScanConfig,
-    load_config,
     parse_config,
     resolve_polarizations,
     run_scan,
@@ -64,19 +58,15 @@ from .spin import (
     PAULI,
     AmplitudePair,
     DegenerateStateError,
-    SpinDensityMatrix,
-    bell_coefficients,
     bloch_spinor,
     pair_matrix,
     pair_state,
-    pauli_expectation,
     reduced_density,
     rho_bell_closed_form,
     rho_mixed,
     rho_pure,
     spinor_from_polarization,
     to_bell_basis,
-    to_product_basis,
 )
 
 __version__ = "0.1.0"

@@ -27,18 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import Kinematics, KinematicsError
-from .special import coulomb_norm, kummer_1f1
 from .spin import AmplitudePair
 
 __all__ = [
     "HYDROGEN_ET_EV",
     "McConfig",
-    "hydrogen_1s_position",
-    "hydrogen_1s_momentum",
     "pwba_amplitudes",
     "pwba_grid",
-    "coulomb_wave",
-    "ee_correlation",
     "free_limit_closed_form",
 ]
 
@@ -76,28 +71,9 @@ class McConfig:
         return self
 
 
-def hydrogen_1s_position(r):
-    """Hydrogen 1s wave function e^{-r} / sqrt(pi) at point(s) r."""
-    r = np.asarray(r, dtype=float)
-    rmag = np.linalg.norm(r, axis=-1)
-    out = math.sqrt(1.0 / math.pi) * np.exp(-rmag)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _phi_1s_q2(q2):
     """Momentum-space 1s wave function as a function of |q|^2."""
     return 8.0 * math.sqrt(math.pi) / (q2 + 1.0) ** 2
-
-
-def hydrogen_1s_momentum(q):
-    """Momentum-space 1s wave function 8 sqrt(pi) / (q^2 + 1)^2.
-
-    Normalized so that int d^3q/(2 pi)^3 |phi|^2 = 1.
-    """
-    q = np.asarray(q, dtype=float)
-    q2 = np.sum(q * q, axis=-1)
-    out = _phi_1s_q2(q2)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def pwba_amplitudes(kin: Kinematics) -> AmplitudePair:
@@ -141,45 +117,6 @@ def pwba_grid(e0: float, e_b: float, e_t: float, theta_a_rad, theta_b_rad):
     td = 4.0 * math.pi * phi / da2
     te = 4.0 * math.pi * phi / db2
     return td.astype(complex), te.astype(complex)
-
-
-def coulomb_wave(k, r, z_charge: float = 1.0) -> complex:
-    """Incoming-boundary-condition Coulomb wave at one point.
-
-    exp(-pi xi/2) Gamma(1 - i xi) e^{i k.r} 1F1(i xi; 1; -i(kr + k.r))
-    with xi = -Z/k (attractive for Z > 0).  Z = 0 reduces exactly to
-    the plane wave.
-    """
-    k = np.asarray(k, dtype=float)
-    r = np.asarray(r, dtype=float)
-    kmag = float(np.linalg.norm(k))
-    if kmag == 0.0:
-        raise ValueError("coulomb_wave requires |k| > 0")
-    xi = -float(z_charge) / kmag
-    dot = float(k @ r)
-    plane = complex(math.cos(dot), math.sin(dot))
-    if xi == 0.0:
-        return plane
-    rmag = float(np.linalg.norm(r))
-    return coulomb_norm(xi) * plane * kummer_1f1(1j * xi, 1.0, -1j * (kmag * rmag + dot))
-
-
-def ee_correlation(k_ab, r12) -> complex:
-    """Electron-electron Coulomb correlation factor.
-
-    exp(-pi xi/2) Gamma(1 - i xi) 1F1(i xi; 1; -i(k r + k.r)) with
-    k = k_ab the relative momentum, r = r12 the relative coordinate and
-    xi = 1/(2 |k_ab|) (repulsive).
-    """
-    k = np.asarray(k_ab, dtype=float)
-    r = np.asarray(r12, dtype=float)
-    kmag = float(np.linalg.norm(k))
-    if kmag == 0.0:
-        raise ValueError("ee_correlation requires |k_ab| > 0")
-    xi = 0.5 / kmag
-    dot = float(k @ r)
-    rmag = float(np.linalg.norm(r))
-    return coulomb_norm(xi) * kummer_1f1(1j * xi, 1.0, -1j * (kmag * rmag + dot))
 
 
 def free_limit_closed_form(kin: Kinematics, ordering: str = "direct") -> complex:

@@ -19,7 +19,6 @@ from .spin import is_empty_pair, is_unit_norm, product_matrix
 __all__ = [
     "concurrence_wootters",
     "concurrence_closed_form",
-    "concurrence_pure_from_state",
     "entanglement_of_formation",
     "von_neumann_entropy",
     "linear_entropy",
@@ -108,23 +107,6 @@ def concurrence_closed_form(td, te, p1, p2):
     return None
 
 
-def concurrence_pure_from_state(psi) -> float:
-    """Concurrence of a normalized pure pair state via reduced purity.
-
-    C = sqrt(2 (1 - Tr rho_1^2)).
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise ValueError("pair state must have 4 amplitudes")
-    n = float(np.vdot(psi, psi).real)
-    if abs(n - 1.0) > 1e-10:
-        raise ValueError(f"pair state must be normalized, |psi|^2 = {n:.12g}")
-    a = psi.reshape(2, 2)
-    rho1 = a @ a.conj().T
-    purity = float(np.trace(rho1 @ rho1).real)
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
-
-
 def entanglement_of_formation(c):
     """Entanglement of formation of a two-qubit state with concurrence c.
 
@@ -145,8 +127,6 @@ def entanglement_of_formation(c):
 def von_neumann_entropy(rho1) -> float:
     """-Tr(rho log2 rho) of a single-electron density matrix."""
     w = np.linalg.eigvalsh(product_matrix(rho1, 2))
-    if w.min() < -1e-8:
-        raise ValueError(f"reduced density matrix has eigenvalue {w.min():.3g} < 0")
     return sum(_binary_entropy_term(float(x)) for x in w)
 
 

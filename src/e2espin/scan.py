@@ -60,7 +60,6 @@ __all__ = [
     "ConfigError",
     "ScanConfig",
     "SCENARIOS",
-    "load_config",
     "parse_config",
     "read_config",
     "resolve_polarizations",
@@ -236,11 +235,6 @@ def read_config(path):
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     return data
-
-
-def load_config(path) -> ScanConfig:
-    """Load and validate a JSON scan configuration file."""
-    return parse_config(read_config(path))
 
 
 def resolve_polarizations(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:

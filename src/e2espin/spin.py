@@ -11,11 +11,11 @@ the one seen by detector B.
 
 Basis conventions
 -----------------
-Product basis order: (uu, ud, du, dd).
-Bell basis order: (Phi+, Phi-, Psi+, Psi-) with
+A pair state is a plain 4x4 array in the product basis, ordered
+(uu, ud, du, dd).  Bell basis order: (Phi+, Phi-, Psi+, Psi-) with
 Phi+- = (uu +- dd)/sqrt(2) and Psi+- = (ud +- du)/sqrt(2).
-``BELL_TO_PRODUCT`` maps Bell coordinates to product coordinates; its
-conjugate transpose performs the reverse change of basis.
+``BELL_TO_PRODUCT`` maps Bell coordinates to product coordinates;
+``to_bell_basis`` is the one place that conjugates a pair matrix with it.
 
 Spin directions are described either by Bloch angles (theta, phi) or
 by polarization 3-vectors.  A unit polarization vector corresponds to
@@ -33,8 +33,9 @@ independent oracles.
 The spin-state input rules live here and nowhere else, with one
 tolerance of 1e-12: ``unit_vector`` (a finite 3-vector of norm 1),
 ``polarization_matrix`` (norm at most 1), ``dot_sigma`` (n.sigma) and
-``product_matrix`` (a Hermitian matrix of unit trace).  So does the
-empty pair state rule ``is_empty_pair``: Tr(T rho_in T^dag) <= 1e-14 (|t_d|^2 + |t_e|^2).
+``product_matrix`` (a Hermitian matrix of unit trace whose smallest
+eigenvalue is at least -1e-12).  So does the empty pair state rule
+``is_empty_pair``: Tr(T rho_in T^dag) <= 1e-14 (|t_d|^2 + |t_e|^2).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import numpy as np
 __all__ = [
     "DegenerateStateError",
     "AmplitudePair",
-    "SpinDensityMatrix",
     "PAULI",
     "BELL_TO_PRODUCT",
     "unit_vector",
@@ -56,9 +56,7 @@ __all__ = [
     "dot_sigma",
     "bloch_spinor",
     "spinor_from_polarization",
-    "pauli_expectation",
     "pair_state",
-    "bell_coefficients",
     "rho_pure",
     "polarization_matrix",
     "pair_matrix",
@@ -67,7 +65,6 @@ __all__ = [
     "product_matrix",
     "reduced_density",
     "to_bell_basis",
-    "to_product_basis",
 ]
 
 
@@ -94,7 +91,7 @@ BELL_TO_PRODUCT = np.array(
     dtype=complex,
 ) / _SQRT2
 
-# |norm - 1|, Hermiticity and |trace - 1| of a spin-state input
+# |norm - 1|, Hermiticity, |trace - 1| and the eigenvalue floor of a spin-state input
 _TOL = 1e-12
 _EMPTY = 1e-14  # pair weight over |t_d|^2 + |t_e|^2 that counts as an empty pair state
 
@@ -107,32 +104,14 @@ class AmplitudePair:
     t_e: complex
 
 
-@dataclass(frozen=True)
-class SpinDensityMatrix:
-    """4x4 density matrix of the electron pair with a basis tag."""
-
-    matrix: np.ndarray
-    basis: str  # "product" or "bell"
-
-    def validate(self) -> "SpinDensityMatrix":
-        if self.basis not in ("product", "bell"):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
-        m = product_matrix(self.matrix)  # Hermiticity and trace are basis-free
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
-        return self
-
-
 def product_matrix(rho, dim: int = 4) -> np.ndarray:
-    """The checked matrix of a product-basis ``SpinDensityMatrix`` or array.
+    """``rho`` as a checked complex product-basis density matrix.
 
     The one density-matrix rule: ``dim`` x ``dim`` (4 for the pair, 2
-    for one electron), Hermitian and of unit trace, both within 1e-12.
+    for one electron), Hermitian, of unit trace and with no eigenvalue
+    below -1e-12, all within the one tolerance 1e-12.  A complex array
+    that passes is returned as is.
     """
-    if isinstance(rho, SpinDensityMatrix):
-        if rho.basis != "product":
-            raise ValueError(f"expected a product-basis density matrix, got basis {rho.basis!r}")
-        rho = rho.matrix
     m = np.asarray(rho, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {m.shape}")
@@ -141,12 +120,9 @@ def product_matrix(rho, dim: int = 4) -> np.ndarray:
     tr = np.trace(m)
     if not abs(tr - 1.0) <= _TOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
-    return m
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    m = np.ascontiguousarray(m)
-    m.flags.writeable = False
+    w = np.linalg.eigvalsh(m)[0]
+    if not w >= -_TOL:
+        raise ValueError(f"density matrix has eigenvalue {w:.3g} < 0")
     return m
 
 
@@ -196,14 +172,9 @@ def spinor_from_polarization(zeta, name: str = "zeta") -> np.ndarray:
     zeta = unit_vector(zeta, name)
     theta = math.acos(min(1.0, max(-1.0, zeta[2])))
     phi = math.atan2(zeta[1], zeta[0]) % (2.0 * math.pi)
+    if phi == 2.0 * math.pi:  # a tiny negative angle wraps to 2 pi, the direction of 0
+        phi = 0.0
     return bloch_spinor(theta, phi)
-
-
-def pauli_expectation(spinor) -> np.ndarray:
-    """Expectation values (<sx>, <sy>, <sz>) of a single spinor."""
-    u, d = complex(spinor[0]), complex(spinor[1])
-    c = u.conjugate() * d
-    return np.array([2.0 * c.real, 2.0 * c.imag, abs(u) ** 2 - abs(d) ** 2])
 
 
 def pair_state(amps: AmplitudePair, chi, eta) -> np.ndarray:
@@ -211,22 +182,6 @@ def pair_state(amps: AmplitudePair, chi, eta) -> np.ndarray:
     chi = np.asarray(chi, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     return amps.t_d * np.kron(chi, eta) - amps.t_e * np.kron(eta, chi)
-
-
-def bell_coefficients(amps: AmplitudePair, chi, eta) -> np.ndarray:
-    """Unnormalized amplitudes of the pair state on (Phi+, Phi-, Psi+, Psi-)."""
-    a, b = complex(chi[0]), complex(chi[1])
-    g, d = complex(eta[0]), complex(eta[1])
-    td, te = complex(amps.t_d), complex(amps.t_e)
-    return np.array(
-        [
-            (td - te) * (a * g + b * d),
-            (td - te) * (a * g - b * d),
-            (td - te) * (a * d + b * g),
-            (td + te) * (a * d - b * g),
-        ],
-        dtype=complex,
-    )
 
 
 def polarization_matrix(p, name: str) -> np.ndarray:
@@ -279,8 +234,8 @@ def pair_matrix(td, te, p1, p2) -> np.ndarray:
     )
 
 
-def rho_pure(amps: AmplitudePair, zeta1, zeta2) -> SpinDensityMatrix:
-    """Normalized pair density matrix for fully polarized initial spins.
+def rho_pure(amps: AmplitudePair, zeta1, zeta2) -> np.ndarray:
+    """Normalized 4x4 product-basis pair matrix for fully polarized initial spins.
 
     Rank-1 projector onto the (normalized) pair state built from the
     unit polarization vectors zeta1 and zeta2.
@@ -291,11 +246,11 @@ def rho_pure(amps: AmplitudePair, zeta1, zeta2) -> SpinDensityMatrix:
     u = float(np.vdot(x, x).real)
     if is_empty_pair(u, amps.t_d, amps.t_e):
         raise DegenerateStateError("pair state vanishes for these polarizations (u = 0)")
-    return SpinDensityMatrix(_freeze(np.outer(x, x.conj()) / u), "product")
+    return np.outer(x, x.conj()) / u
 
 
-def rho_mixed(amps: AmplitudePair, p1, p2) -> SpinDensityMatrix:
-    """Normalized pair density matrix for partially polarized beams.
+def rho_mixed(amps: AmplitudePair, p1, p2) -> np.ndarray:
+    """Normalized 4x4 product-basis pair matrix for partially polarized beams.
 
     ``pair_matrix`` over its trace, for polarization vectors P1, P2 of
     length at most 1.  Reduces to ``rho_pure`` when both polarizations
@@ -306,16 +261,18 @@ def rho_mixed(amps: AmplitudePair, p1, p2) -> SpinDensityMatrix:
     tr = float(np.trace(rho).real)
     if is_empty_pair(tr, td, te):
         raise DegenerateStateError("averaged pair state has zero weight (u = 0)")
-    return SpinDensityMatrix(_freeze(rho / tr), "product")
+    return rho / tr
 
 
-def rho_bell_closed_form(amps: AmplitudePair, pol1, pol2) -> SpinDensityMatrix:
-    """Closed-form pair density matrix in the Bell basis.
+def rho_bell_closed_form(amps: AmplitudePair, pol1, pol2) -> np.ndarray:
+    """Closed-form normalized pair matrix as a 4x4 Bell-basis array.
 
-    Valid both for unit polarization vectors (pure case) and, by direct
-    substitution, for ensemble polarization vectors of length < 1: the
-    unnormalized matrix is linear in each polarization vector, so the
-    statistical average only replaces the unit vectors by P1, P2.
+    It exists only for the ``validate`` command's comparison with
+    ``to_bell_basis`` of ``rho_pure`` and ``rho_mixed``.  Valid both for
+    unit polarization vectors (pure case) and, by direct substitution,
+    for ensemble polarization vectors of length < 1: the unnormalized
+    matrix is linear in each polarization vector, so the statistical
+    average only replaces the unit vectors by P1, P2.
     """
     td, te = complex(amps.t_d), complex(amps.t_e)
     z1 = np.asarray(pol1, dtype=float)
@@ -343,10 +300,10 @@ def rho_bell_closed_form(amps: AmplitudePair, pol1, pol2) -> SpinDensityMatrix:
     for i in range(4):
         for j in range(i):
             m[i, j] = m[j, i].conjugate()
-    return SpinDensityMatrix(_freeze(m / (4.0 * u)), "bell")
+    return m / (4.0 * u)
 
 
-def reduced_density(rho: SpinDensityMatrix, keep: str = "first") -> np.ndarray:
+def reduced_density(rho, keep: str = "first") -> np.ndarray:
     """Partial trace of a product-basis pair matrix onto one electron."""
     m = product_matrix(rho).reshape(2, 2, 2, 2)
     if keep == "first":
@@ -356,17 +313,7 @@ def reduced_density(rho: SpinDensityMatrix, keep: str = "first") -> np.ndarray:
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def to_bell_basis(rho: SpinDensityMatrix) -> SpinDensityMatrix:
-    """Re-express a product-basis density matrix in the Bell basis."""
-    if rho.basis != "product":
-        raise ValueError("to_bell_basis expects a product-basis matrix")
+def to_bell_basis(rho) -> np.ndarray:
+    """A 4x4 product-basis pair matrix re-expressed in the Bell basis."""
     u = BELL_TO_PRODUCT
-    return SpinDensityMatrix(_freeze(u.conj().T @ rho.matrix @ u), "bell")
-
-
-def to_product_basis(rho: SpinDensityMatrix) -> SpinDensityMatrix:
-    """Re-express a Bell-basis density matrix in the product basis."""
-    if rho.basis != "bell":
-        raise ValueError("to_product_basis expects a Bell-basis matrix")
-    u = BELL_TO_PRODUCT
-    return SpinDensityMatrix(_freeze(u @ rho.matrix @ u.conj().T), "product")
+    return u.conj().T @ rho @ u

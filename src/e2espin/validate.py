@@ -111,13 +111,13 @@ def suite_density_closed_form(n: int = 1_000, seed: int = 20242, tol: float = 1e
     for _ in range(n):
         amps = _random_amplitudes(rng)
         z1, z2 = _random_unit(rng), _random_unit(rng)
-        built = to_bell_basis(rho_pure(amps, z1, z2)).matrix
-        closed = rho_bell_closed_form(amps, z1, z2).matrix
+        built = to_bell_basis(rho_pure(amps, z1, z2))
+        closed = rho_bell_closed_form(amps, z1, z2)
         worst = max(worst, float(np.abs(built - closed).max()))
         p1 = rng.uniform(0.0, 1.0) * _random_unit(rng)
         p2 = rng.uniform(0.0, 1.0) * _random_unit(rng)
-        built = to_bell_basis(rho_mixed(amps, p1, p2)).matrix
-        closed = rho_bell_closed_form(amps, p1, p2).matrix
+        built = to_bell_basis(rho_mixed(amps, p1, p2))
+        closed = rho_bell_closed_form(amps, p1, p2)
         worst = max(worst, float(np.abs(built - closed).max()))
     return SuiteResult("density-matrix-closed-form", worst <= tol, worst, tol)
 

@@ -154,15 +154,15 @@ def test_criterion_03_bell_basis_closed_form():
         amps = random_amps(rng)
         z1, z2 = random_unit(rng), random_unit(rng)
         diff = np.abs(
-            to_bell_basis(rho_pure(amps, z1, z2)).matrix
-            - rho_bell_closed_form(amps, z1, z2).matrix
+            to_bell_basis(rho_pure(amps, z1, z2))
+            - rho_bell_closed_form(amps, z1, z2)
         ).max()
         worst = max(worst, float(diff))
         p1 = rng.uniform() * random_unit(rng)
         p2 = rng.uniform() * random_unit(rng)
         diff = np.abs(
-            to_bell_basis(rho_mixed(amps, p1, p2)).matrix
-            - rho_bell_closed_form(amps, p1, p2).matrix
+            to_bell_basis(rho_mixed(amps, p1, p2))
+            - rho_bell_closed_form(amps, p1, p2)
         ).max()
         worst = max(worst, float(diff))
     ok = worst <= 1e-12

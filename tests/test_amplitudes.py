@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from e2espin.amplitudes import (
-    McConfig,
-    coulomb_wave,
-    ee_correlation,
-    free_limit_closed_form,
-    hydrogen_1s_momentum,
-    hydrogen_1s_position,
-    pwba_amplitudes,
-    pwba_grid,
-)
+from e2espin.amplitudes import McConfig, free_limit_closed_form, pwba_amplitudes, pwba_grid
 from e2espin.kinematics import HARTREE_EV, Kinematics, KinematicsError, build_coplanar
 from e2espin.scan import amplitude_grids, parse_config
 from e2espin.special import coulomb_norm
+
+from oracles import coulomb_wave, ee_correlation, hydrogen_1s_momentum, hydrogen_1s_position
 
 
 class TestHydrogenPosition:

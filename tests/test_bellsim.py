@@ -119,7 +119,7 @@ class TestChshEstimate:
     def test_product_state_never_violates(self):
         rho = rho_pure(AmplitudePair(1.0, 0.0j), ZHAT, ZHAT)
         for seed in range(10):
-            res = simulate_chsh(rho.matrix, 20_000, seed=seed)
+            res = simulate_chsh(rho, 20_000, seed=seed)
             assert res["chsh_estimate"] < 2.0
             assert res["chsh_estimate"] == pytest.approx(-math.sqrt(2.0), abs=0.1)
 

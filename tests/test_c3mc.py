@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from e2espin import c3mc
-from e2espin.amplitudes import (
-    McConfig,
-    coulomb_wave,
-    ee_correlation,
-    free_limit_closed_form,
-    hydrogen_1s_position,
-)
+from e2espin.amplitudes import McConfig, free_limit_closed_form
 from e2espin.kinematics import HARTREE_EV, build_coplanar
 from e2espin.scan import parse_config
 from e2espin.special import kummer_1f1
+
+from oracles import coulomb_wave, ee_correlation, hydrogen_1s_position
 
 E0, ET, EB = 2.0, -0.5, 0.75
 

@@ -18,9 +18,9 @@ from e2espin.scan import (
     ConfigError,
     ScanConfig,
     amplitude_grids,
-    load_config,
     observables_from_amplitudes,
     parse_config,
+    read_config,
     resolve_polarizations,
     run_scan,
     write_csv,
@@ -168,18 +168,18 @@ class TestConfigParsing:
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "nope.json")
+            parse_config(read_config(tmp_path / "nope.json"))
 
     def test_parse_error_has_position(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"model": }')
         with pytest.raises(ConfigError, match=r"line 1, column"):
-            load_config(p)
+            parse_config(read_config(p))
 
     def test_round_trip(self, tmp_path):
         p = tmp_path / "ok.json"
         p.write_text(json.dumps({"model": "pwba", "step_deg": 30.0, "scenario": "perp"}))
-        cfg = load_config(p)
+        cfg = parse_config(read_config(p))
         assert cfg.scenario == "perp"
         assert len(cfg.grid_deg()) == 13
 

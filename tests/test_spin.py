@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,10 @@ from e2espin.spin import (
     _pair_kernels,
     AmplitudePair,
     DegenerateStateError,
-    SpinDensityMatrix,
-    bell_coefficients,
     bloch_spinor,
     is_empty_pair,
     pair_matrix,
     pair_state,
-    pauli_expectation,
     polarization_matrix,
     product_matrix,
     reduced_density,
@@ -35,8 +33,9 @@ from e2espin.spin import (
     rho_pure,
     spinor_from_polarization,
     to_bell_basis,
-    to_product_basis,
 )
+
+from oracles import bell_coefficients, pauli_expectation
 
 ZHAT = np.array([0.0, 0.0, 1.0])
 XHAT = np.array([1.0, 0.0, 0.0])
@@ -134,7 +133,7 @@ class TestBellCoefficients:
             if nrm < 1e-12:
                 continue
             rho = np.outer(vec, vec.conj()) / nrm
-            ref = rho_pure(amps, z1, z2).matrix
+            ref = rho_pure(amps, z1, z2)
             assert np.abs(rho - ref).max() < 1e-12
 
 
@@ -160,21 +159,21 @@ class TestRhoPure:
         rng = np.random.default_rng(10)
         for _ in range(50):
             rho = rho_pure(random_amps(rng), random_unit(rng), random_unit(rng))
-            assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
-            rho.validate()
+            assert abs(np.trace(rho).real - 1.0) < 1e-12
+            product_matrix(rho)
 
     def test_singlet_formation(self):
         amps = AmplitudePair(0.8 + 0.3j, 0.8 + 0.3j)
         rho = rho_pure(amps, ZHAT, -ZHAT)
-        np.testing.assert_allclose(rho.matrix, np.outer(PSI_MINUS, PSI_MINUS.conj()), atol=1e-14)
+        np.testing.assert_allclose(rho, np.outer(PSI_MINUS, PSI_MINUS.conj()), atol=1e-14)
 
     def test_closed_form_match(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
             amps = random_amps(rng)
             z1, z2 = random_unit(rng), random_unit(rng)
-            built = to_bell_basis(rho_pure(amps, z1, z2)).matrix
-            closed = rho_bell_closed_form(amps, z1, z2).matrix
+            built = to_bell_basis(rho_pure(amps, z1, z2))
+            closed = rho_bell_closed_form(amps, z1, z2)
             assert np.abs(built - closed).max() <= 1e-12
 
     def test_degenerate_raises(self):
@@ -192,7 +191,7 @@ class TestRhoMixed:
             amps = random_amps(rng)
             z1, z2 = random_unit(rng), random_unit(rng)
             np.testing.assert_allclose(
-                rho_mixed(amps, z1, z2).matrix, rho_pure(amps, z1, z2).matrix, atol=1e-13
+                rho_mixed(amps, z1, z2), rho_pure(amps, z1, z2), atol=1e-13
             )
 
     def test_closed_form_with_ensemble_vectors(self):
@@ -201,14 +200,14 @@ class TestRhoMixed:
             amps = random_amps(rng)
             p1 = rng.uniform(0.0, 1.0) * random_unit(rng)
             p2 = rng.uniform(0.0, 1.0) * random_unit(rng)
-            built = to_bell_basis(rho_mixed(amps, p1, p2)).matrix
-            closed = rho_bell_closed_form(amps, p1, p2).matrix
+            built = to_bell_basis(rho_mixed(amps, p1, p2))
+            closed = rho_bell_closed_form(amps, p1, p2)
             assert np.abs(built - closed).max() <= 1e-12
 
     def test_unpolarized_equal_amplitudes_is_singlet(self):
         amps = AmplitudePair(0.3 - 1.1j, 0.3 - 1.1j)
         rho = rho_mixed(amps, np.zeros(3), np.zeros(3))
-        np.testing.assert_allclose(rho.matrix, np.outer(PSI_MINUS, PSI_MINUS.conj()), atol=1e-14)
+        np.testing.assert_allclose(rho, np.outer(PSI_MINUS, PSI_MINUS.conj()), atol=1e-14)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(16)
@@ -217,7 +216,7 @@ class TestRhoMixed:
             amps = random_amps(rng)
             p1 = rng.uniform(0.0, 1.0) * random_unit(rng)
             p2 = rng.uniform(0.0, 1.0) * random_unit(rng)
-            mats.append(rho_mixed(amps, p1, p2).matrix)
+            mats.append(rho_mixed(amps, p1, p2))
         eigs = np.linalg.eigvalsh(np.array(mats))
         assert eigs.min() >= -1e-10
 
@@ -264,7 +263,7 @@ class TestBranchKernels:
         rho_in = _pair_kernels(np.zeros(3), np.zeros(3))[0]
         assert np.array_equal(rho_in, np.eye(4) / 4)
         # with t_e = 0 the pair keeps its initial state, bit for bit
-        rho = rho_mixed(AmplitudePair(1.0, 0.0), np.zeros(3), np.zeros(3)).matrix
+        rho = rho_mixed(AmplitudePair(1.0, 0.0), np.zeros(3), np.zeros(3))
         assert np.array_equal(rho, np.eye(4) / 4)
 
     @pytest.mark.parametrize(
@@ -289,29 +288,22 @@ BAD_PAIR_MATRICES = {
     "non_hermitian": _non_hermitian(np.eye(4) / 4.0, 0.5),
     "3x3": np.eye(3, dtype=complex) / 3.0,
     "nan": np.full((4, 4), math.nan, dtype=complex),
+    "non_psd": np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex),  # unchecked, its CHSH value -4.24 exceeds Tsirelson
 }
 
 
 class TestProductMatrix:
-    @pytest.mark.parametrize("consumer", list(PAIR_CONSUMERS.values()), ids=list(PAIR_CONSUMERS))
-    def test_bell_basis_matrix_is_rejected(self, consumer):
-        rho = to_bell_basis(rho_pure(AmplitudePair(1.0, 0.5), ZHAT, XHAT))
-        with pytest.raises(ValueError, match="product-basis"):
-            consumer(rho)
-
     @pytest.mark.parametrize("bad", list(BAD_PAIR_MATRICES.values()), ids=list(BAD_PAIR_MATRICES))
     @pytest.mark.parametrize("consumer", list(PAIR_CONSUMERS.values()), ids=list(PAIR_CONSUMERS))
     def test_non_density_matrix_is_rejected(self, consumer, bad):
         with pytest.raises(ValueError, match="density matrix"):
             consumer(bad)
-        with pytest.raises(ValueError, match="density matrix"):
-            consumer(SpinDensityMatrix(bad, "product"))
 
     @pytest.mark.parametrize("entropy", [von_neumann_entropy, linear_entropy])
     @pytest.mark.parametrize(
         "bad",
-        [5.0 * np.eye(2), _non_hermitian(np.eye(2) / 2.0)],
-        ids=["5I", "non_hermitian_1e-11"],
+        [5.0 * np.eye(2), _non_hermitian(np.eye(2) / 2.0), np.diag([1.5, -0.5])],
+        ids=["5I", "non_hermitian_1e-11", "non_psd"],
     )
     def test_entropies_reject_non_density_matrices(self, entropy, bad):
         with pytest.raises(ValueError, match="density matrix"):
@@ -320,8 +312,7 @@ class TestProductMatrix:
     def test_valid_matrices_pass_through_unchanged(self):
         # the check returns the very array, so no consumer's bits move
         rho = rho_mixed(AmplitudePair(1.0, 0.5), 0.6 * XHAT, [0.3, 0.0, 0.4])
-        assert product_matrix(rho) is rho.matrix
-        assert to_bell_basis(rho).validate().basis == "bell"
+        assert product_matrix(rho) is rho
 
 
 class TestUnitDirectionRule:
@@ -333,6 +324,7 @@ class TestUnitDirectionRule:
             u = rng.standard_normal(3)
             bound = 1.0 + float(rng.choice([-1e-12, 1e-12]))
             vectors.append(u / np.linalg.norm(u) * (bound + int(rng.integers(-3, 4)) * np.spacing(bound)))
+        vectors.append(np.array([1.0, -1e-20, 0.0]))  # its azimuth wraps to 2 pi
         amps = AmplitudePair(1.0, 0.5)
         accepted = 0
         for v in vectors:
@@ -410,6 +402,40 @@ def test_no_module_imports_another_modules_private_names():
     assert offenders == []
 
 
+def _uses(tree, skip=None):
+    """Names loaded or read as attributes in ``tree``, outside the top-level definition ``skip``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for stmt in tree.body if getattr(stmt, "name", None) != skip
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
+
+
+def test_every_public_name_is_reached():
+    """Each ``__all__`` name is used outside its own definition: in ``src`` (by name,
+    attribute or an import into another module than ``__init__``), in ``bench/*.py``
+    or in the README library sketch."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p))
+               for p in sorted(Path(e2espin.__file__).parent.glob("*.py")) if p.stem != "__init__"}
+    sketch = re.search(r"## Library sketch\s*```python\n(.*?)```",
+                       (root / "README.md").read_text(encoding="utf-8"), re.S).group(1)
+    outside = _uses(ast.parse(sketch)).union(
+        *(_uses(ast.parse(p.read_text())) for p in sorted((root / "bench").glob("*.py"))))
+    unreached = []
+    for stem, tree in modules.items():
+        public = next((ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
+                       and any(getattr(t, "id", None) == "__all__" for t in n.targets)), [])
+        for name in public:
+            imported = any(isinstance(n, ast.ImportFrom) and n.level > 0 and n.module == stem
+                           and name in {a.name for a in n.names}
+                           for other, t in modules.items() if other != stem for n in ast.walk(t))
+            used = any(name in _uses(t, name if other == stem else None)
+                       for other, t in modules.items())
+            if not (imported or used or name in outside):
+                unreached.append(f"{stem}.{name}")
+    assert unreached == []
+
+
 def test_spin_owns_the_empty_pair_tolerance():
     """1e-14 appears outside ``spin`` only as the spectral floor of ``wootters_batch``,
     and ``cli`` decides no emptiness by comparing amplitudes with 0."""
@@ -446,7 +472,7 @@ class TestReducedDensity:
         np.testing.assert_allclose(red2, [[0.0, 0.0], [0.0, 1.0]], atol=1e-14)
 
     def test_singlet_is_maximally_mixed(self):
-        rho = SpinDensityMatrix(np.outer(PSI_MINUS, PSI_MINUS.conj()), "product")
+        rho = np.outer(PSI_MINUS, PSI_MINUS.conj())
         np.testing.assert_allclose(reduced_density(rho, "first"), np.eye(2) / 2, atol=1e-14)
 
     def test_closed_form(self):
@@ -472,11 +498,6 @@ class TestReducedDensity:
             got = reduced_density(rho_pure(amps, z1, z2), "first")
             assert np.abs(got - expected).max() <= 1e-12
 
-    def test_requires_product_basis(self):
-        rho = to_bell_basis(rho_pure(AmplitudePair(1.0, 0.5), ZHAT, XHAT))
-        with pytest.raises(ValueError):
-            reduced_density(rho, "first")
-
 
 class TestBellBasis:
     def test_unitarity(self):
@@ -484,18 +505,19 @@ class TestBellBasis:
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-15)
 
     def test_identity_invariant(self):
-        rho = SpinDensityMatrix(np.eye(4, dtype=complex) / 4.0, "product")
-        np.testing.assert_allclose(to_bell_basis(rho).matrix, np.eye(4) / 4.0, atol=1e-15)
+        rho = np.eye(4, dtype=complex) / 4.0
+        np.testing.assert_allclose(to_bell_basis(rho), np.eye(4) / 4.0, atol=1e-15)
 
     def test_singlet_diagonal(self):
-        rho = SpinDensityMatrix(np.outer(PSI_MINUS, PSI_MINUS.conj()), "product")
-        np.testing.assert_allclose(to_bell_basis(rho).matrix, np.diag([0, 0, 0, 1.0]), atol=1e-14)
+        rho = np.outer(PSI_MINUS, PSI_MINUS.conj())
+        np.testing.assert_allclose(to_bell_basis(rho), np.diag([0, 0, 0, 1.0]), atol=1e-14)
 
     def test_round_trip(self):
         rng = np.random.default_rng(19)
         rho = rho_pure(random_amps(rng), random_unit(rng), random_unit(rng))
-        back = to_product_basis(to_bell_basis(rho))
-        assert np.abs(back.matrix - rho.matrix).max() <= 1e-14
+        u = BELL_TO_PRODUCT
+        back = u @ to_bell_basis(rho) @ u.conj().T
+        assert np.abs(back - rho).max() <= 1e-14
 
 
 class TestInvariances:
@@ -506,10 +528,10 @@ class TestInvariances:
             phase = complex(math.cos(p := rng.uniform(0, 2 * math.pi)), math.sin(p))
             rot = AmplitudePair(phase * amps.t_d, phase * amps.t_e)
             z1, z2 = random_unit(rng), random_unit(rng)
-            assert np.abs(rho_pure(amps, z1, z2).matrix - rho_pure(rot, z1, z2).matrix).max() <= 1e-13
+            assert np.abs(rho_pure(amps, z1, z2) - rho_pure(rot, z1, z2)).max() <= 1e-13
             p1 = 0.6 * random_unit(rng)
             p2 = 0.3 * random_unit(rng)
-            assert np.abs(rho_mixed(amps, p1, p2).matrix - rho_mixed(rot, p1, p2).matrix).max() <= 1e-13
+            assert np.abs(rho_mixed(amps, p1, p2) - rho_mixed(rot, p1, p2)).max() <= 1e-13
 
     def test_swap_covariance(self):
         # swapping the detectors is the qubit swap; in amplitude language
@@ -523,15 +545,15 @@ class TestInvariances:
             amps = random_amps(rng)
             flipped = AmplitudePair(amps.t_e, amps.t_d)
             z1, z2 = random_unit(rng), random_unit(rng)
-            a = rho_pure(amps, z1, z2).matrix
-            assert np.abs(swap @ a @ swap - rho_pure(flipped, z1, z2).matrix).max() <= 1e-13
-            assert np.abs(swap @ a @ swap - rho_pure(amps, z2, z1).matrix).max() <= 1e-13
-            assert np.abs(a - rho_pure(flipped, z2, z1).matrix).max() <= 1e-13
+            a = rho_pure(amps, z1, z2)
+            assert np.abs(swap @ a @ swap - rho_pure(flipped, z1, z2)).max() <= 1e-13
+            assert np.abs(swap @ a @ swap - rho_pure(amps, z2, z1)).max() <= 1e-13
+            assert np.abs(a - rho_pure(flipped, z2, z1)).max() <= 1e-13
 
     def test_validate_rejects_bad_matrices(self):
         bad = np.eye(4, dtype=complex) / 4.0
         bad[0, 1] = 0.5
         with pytest.raises(ValueError):
-            SpinDensityMatrix(bad, "product").validate()
+            product_matrix(bad)
         with pytest.raises(ValueError):
-            SpinDensityMatrix(np.eye(4, dtype=complex), "product").validate()
+            product_matrix(np.eye(4, dtype=complex))
