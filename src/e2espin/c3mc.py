@@ -43,8 +43,20 @@ the coordinates, their radii and the density p1 p2.  The kernel from
 ``_kernel`` weighs them with a table of one row per mirror variant
 (direct, mirrored direct, exchange, mirrored exchange): the beam, the
 conjugated Coulomb waves at r1 and at r2, and the e-e relative
-momentum.  ``c3_pair`` counts non-finite weights as zeros and sums the
+momentum.  ``c3_pair`` weighs a block in slices of ``_SLICE`` samples
+into one (2, n) array, counts non-finite weights as zeros and sums the
 blocks with ``math.fsum``.
+
+The blocks of a point are independent, so ``c3_pair`` runs them on a
+pool of min(usable CPUs, blocks) threads (numpy releases the interpreter
+lock in its array loops) and reduces their sums in block order; a
+one-block point runs in the caller's thread.  The pool lives as long as
+the call, so no idle thread keeps its memory between points.  A block is
+computed only while it holds one of ``usable_cpus()`` process-wide
+slots, so scan workers running points at once still compute no more
+blocks than there are usable CPUs, and the working memory is bounded by
+usable CPUs times one sliced block (about 14 MiB for a full block of
+65,536 samples).
 
 Every 1F1 factor has the form 1F1(i*alpha; 1; i*x) with real x >= 0, so
 the kernel reads it from a ``Coulomb1F1Table``: one per distinct wave
@@ -71,8 +83,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +99,13 @@ from .special import Coulomb1F1Table, coulomb_norm
 # where c3mc looks it up; drop it when the benchmark next changes.
 from .special import kummer_1f1  # noqa: F401
 
-__all__ = ["PairEstimate", "c3_pair", "BLOCK_SIZE"]
+__all__ = ["PairEstimate", "c3_pair", "usable_cpus", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 65536
+# samples weighed at once, the remainder of a block merged into its last
+# slice: every slice has at least 4,096 samples unless the whole block has
+# fewer (see the operand-order note in ``_kernel``)
+_SLICE = 16384
 _DRAWS = 10  # uniforms consumed per sample; fixed for stream stability
 _LAMBDA1 = 1.0  # rate of the exponential projectile component
 _LAMBDA2 = 1.0
@@ -273,9 +291,14 @@ def _kernel(kin: Kinematics, cfg: McConfig):
                 # the waves' 1F1 factors at |k||r| + k.r, by variant, at r1 and r2
                 f1, f2 = (np.stack([waves[kmag].evaluate(kmag * rmag + r @ k) for k, kmag in col])
                           for r, rmag, col in ((r1, r1mag, at_r1), (r2, r2mag, at_r2)))
-                # the r1-wave stays the left factor: complex multiply is not
-                # bitwise commutative under FMA, and exact exchange symmetry
-                # needs the same operand order in paired variants
+                # complex multiply is not bitwise commutative under FMA.  Once
+                # the (4, n) temporary reaches numpy's 256 KiB elision size
+                # (n >= 4096), numpy computes this as (f1 * f2) * g, below it
+                # as g * (f1 * f2).  Paired variants share the order either
+                # way, so t_d == t_e stays exact; but a block must not be
+                # weighed in slices of fewer than 4,096 samples unless the
+                # block itself is that small, and rewriting the expression
+                # moves bits wherever a block's size crosses 4,096
                 g = g * (f1 * f2)
             if corr is not None:
                 rc = kab_mag * r12mag
@@ -290,6 +313,24 @@ def _kernel(kin: Kinematics, cfg: McConfig):
     return weigh
 
 
+def _slices(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) slices of an n-sample block, the remainder in the last."""
+    m = max(1, n // _SLICE)
+    return [(i * _SLICE, n if i == m - 1 else (i + 1) * _SLICE) for i in range(m)]
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# one slot per usable CPU, held while a block is computed: with scan
+# workers running points at once, still no more blocks than CPUs at a time
+_cpu_slots = threading.BoundedSemaphore(usable_cpus())
+
+
 def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
     """Estimate both 3C amplitudes on one mirror-symmetrized sample set."""
     cfg = cfg.validated()
@@ -301,19 +342,34 @@ def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
         return PairEstimate(0.0 + 0.0j, 0.0 + 0.0j, np.zeros((4, 4)), n_total, 0)
     weigh = _kernel(kin, cfg)
     key = np.array([cfg.seed, _stream_word(kin)], dtype=np.uint64)
+    r_max = float(cfg.r_max)
 
-    s1_blocks, s2_blocks = [], []
-    n_rejected = 0
-    for blk in range((n_total + BLOCK_SIZE - 1) // BLOCK_SIZE):
+    def block_sums(blk):
         n = min(BLOCK_SIZE, n_total - blk * BLOCK_SIZE)
-        w = weigh(*_draw(key, blk, n, float(cfg.r_max)))
-        finite = np.isfinite(w).all(axis=0)
-        n_rejected += int(np.count_nonzero(~finite))
-        w = np.where(finite, w, 0.0)
+        with _cpu_slots:
+            sample = _draw(key, blk, n, r_max)
+            slices = _slices(n)
+            if len(slices) == 1:  # no copy: a (2, n) copy would raise peak memory
+                w = weigh(*sample)
+            else:
+                w = np.empty((2, n), dtype=complex)
+                for lo, hi in slices:
+                    w[:, lo:hi] = weigh(*(a[lo:hi] for a in sample))
+            finite = np.isfinite(w).all(axis=0)
+            w = np.where(finite, w, 0.0)
+            x = np.stack([w[0].real, w[0].imag, w[1].real, w[1].imag])
+            return x.sum(axis=1), x @ x.T, int(np.count_nonzero(~finite))
 
-        x = np.stack([w[0].real, w[0].imag, w[1].real, w[1].imag])
-        s1_blocks.append(x.sum(axis=1))
-        s2_blocks.append(x @ x.T)
+    blocks = range((n_total + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    width = min(usable_cpus(), len(blocks))
+    if width == 1:
+        sums = list(map(block_sums, blocks))
+    else:
+        # the pool ends with the point, and its threads with it
+        with ThreadPoolExecutor(max_workers=width, thread_name_prefix="c3mc-block") as pool:
+            sums = list(pool.map(block_sums, blocks))
+    s1_blocks, s2_blocks, rejected = zip(*sums)
+    n_rejected = sum(rejected)
 
     if n_rejected > _MAX_REJECT_FRACTION * n_total:
         raise ArithmeticError(

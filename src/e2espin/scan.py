@@ -38,13 +38,21 @@ the electrons: t_d(theta_A, theta_B) = t_e(theta_B, theta_A).  The
 stream key of ``c3mc`` holds the unordered electron pair, and the
 sampler treats the two electrons alike, so an estimate of the swapped
 point would give exactly these bits; the fill changes no output byte.
+
+A 3C scan runs its points on up to ``workers`` threads, capped by the
+estimated cells and the usable CPUs (``c3mc.usable_cpus``).  A point of
+more than one sample block (``c3mc.BLOCK_SIZE``) runs its blocks on a
+pool of its own, so it uses every usable CPU even with one worker; a
+one-block point runs in its worker's thread.  Either way a block is
+computed only in one of ``c3mc``'s process-wide CPU slots, so however
+many workers run, no more blocks than usable CPUs compute at once, and
+the working memory stays within usable CPUs times one sliced block.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -272,8 +280,8 @@ def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, 
         kin = build_coplanar(e0, eb, float(ta_rad[i]), float(tb_rad[j]), et)
         return c3mc.c3_pair(kin, cfg.mc)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, len(cells), cpus or 1)  # the pool starts a thread per cell up to this
+    # the pool starts a thread per cell up to this
+    workers = min(workers, len(cells), c3mc.usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             estimates = list(pool.map(do_point, cells))

@@ -185,7 +185,7 @@ def suite_c3_symmetry(samples: int = 20_000, seed: int = 20245) -> SuiteResult:
     worst = 0.0
     for th_deg in (25.0, 45.0, 70.0, 130.0):
         kin = build_coplanar(2.0, 0.75, math.radians(th_deg), -math.radians(th_deg), -0.5)
-        est = c3mc.c3_pair(kin, McConfig(samples=samples, seed=seed, r_max=14.0))
+        est = c3mc.c3_pair(kin, McConfig(samples=samples, seed=seed))
         worst = max(worst, abs(est.t_d - est.t_e))
     return SuiteResult("c3-exchange-symmetry", worst == 0.0, worst, 0.0)
 
@@ -193,7 +193,7 @@ def suite_c3_symmetry(samples: int = 20_000, seed: int = 20245) -> SuiteResult:
 def suite_c3_free_limit(samples: int = McConfig.samples, seed: int = 20246) -> SuiteResult:
     """Plane-wave-limit Monte Carlo vs. the exact factorized integral."""
     kin = build_coplanar(2.0, 0.75, math.radians(45.0), math.radians(-60.0), -0.5)
-    cfg = McConfig(samples=samples, seed=seed, r_max=14.0, debug_free_limit=True)
+    cfg = McConfig(samples=samples, seed=seed, debug_free_limit=True)
     est = c3mc.c3_pair(kin, cfg)
     worst = 0.0
     for ordering, value, err in (

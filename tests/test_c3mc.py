@@ -1,4 +1,8 @@
 import math
+import threading
+import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from e2espin import c3mc
 from e2espin.amplitudes import McConfig, free_limit_closed_form
 from e2espin.kinematics import HARTREE_EV, build_coplanar
-from e2espin.scan import parse_config
+from e2espin.scan import amplitude_grids, parse_config
 from e2espin.special import kummer_1f1
 
 from oracles import coulomb_wave, ee_correlation, hydrogen_1s_position
@@ -23,20 +27,34 @@ C3_POINT = build_coplanar(54.4 / HARTREE_EV, 5.0 / HARTREE_EV, math.radians(20.0
                           math.radians(-60.0), -13.605693 / HARTREE_EV)
 
 
-def poisoned(n, samples, fill):
-    """A table evaluation that sets ``samples`` of each n-sample row to ``fill``.
+REAL_DRAW, REAL_KERNEL = c3mc._draw, c3mc._kernel
 
-    The kernel evaluates one row per wave and four rows, one per mirror
-    variant, for the correlation factor; a one-block estimate of n
-    samples thus gets the same samples poisoned in every call.
+
+def poison(monkeypatch, samples, fill):
+    """Make ``weigh`` return ``fill`` for ``samples`` (indices in each block).
+
+    The samples are recognized by their projectile radius, which ``weigh``
+    gets unchanged in whatever slices ``c3_pair`` cuts a block; a second
+    call replaces the first.
     """
-    real = c3mc.Coulomb1F1Table.evaluate
+    marked = []
 
-    def evaluate(self, x):
-        out = np.array(real(self, x), copy=True)
-        out.reshape(-1, n)[:, samples] = fill
-        return out
-    return evaluate
+    def draw(key, block, n, r_max):
+        sample = REAL_DRAW(key, block, n, r_max)
+        marked.extend(sample[1][samples].tolist())
+        return sample
+
+    def kernel(kin, cfg):
+        weigh = REAL_KERNEL(kin, cfg)
+
+        def poisoned(r1, r1mag, r2, r2mag, density):
+            w = weigh(r1, r1mag, r2, r2mag, density)
+            w[:, np.isin(r1mag, marked)] = fill
+            return w
+        return poisoned
+
+    monkeypatch.setattr(c3mc, "_draw", draw)
+    monkeypatch.setattr(c3mc, "_kernel", kernel)
 
 
 class TestDeterminism:
@@ -179,14 +197,12 @@ class TestEdgeCases:
     def test_rejection_accounting_error(self, monkeypatch):
         # poison a fraction of the integrand evaluations and make sure the
         # estimator refuses to report
-        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate",
-                            poisoned(5_000, slice(None, None, 50), complex(math.nan, math.nan)))
+        poison(monkeypatch, slice(None, None, 50), complex(math.nan, math.nan))
         with pytest.raises(ArithmeticError, match="rejected"):
             c3mc.c3_pair(kin_at(45.0, -60.0), McConfig(samples=5_000, seed=3))
 
     def test_small_rejection_is_counted_not_fatal(self, monkeypatch):
-        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate",
-                            poisoned(60_000, slice(None, None, 30001), complex(math.nan, math.nan)))
+        poison(monkeypatch, slice(None, None, 30001), complex(math.nan, math.nan))
         est = c3mc.c3_pair(kin_at(45.0, -60.0), McConfig(samples=60_000, seed=3))
         assert 0 < est.n_rejected <= 0.001 * 60_000
 
@@ -210,9 +226,9 @@ class TestRejection:
         # sums over the same full budget, not a mean over the survivors
         kin = kin_at(45.0, -60.0)
         cfg = McConfig(samples=2_000, seed=6)
-        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", poisoned(2_000, [17, 1234], np.nan))
+        poison(monkeypatch, [17, 1234], np.nan)
         rejected = c3mc.c3_pair(kin, cfg)
-        monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", poisoned(2_000, [17, 1234], 0.0))
+        poison(monkeypatch, [17, 1234], 0.0)
         zeroed = c3mc.c3_pair(kin, cfg)
         assert rejected.n_rejected == 2
         assert zeroed.n_rejected == 0
@@ -368,3 +384,118 @@ class TestCoulombTables:
         assert c3mc._wave_table.cache_info().hits == 2
         assert cold.t_d == warm.t_d and cold.t_e == warm.t_e
         assert cold.cov.tobytes() == warm.cov.tobytes()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)``: c3mc sees n usable CPUs, with n slots to compute blocks in."""
+    def use(n):
+        monkeypatch.setattr(c3mc, "usable_cpus", lambda: n)
+        monkeypatch.setattr(c3mc, "_cpu_slots", threading.BoundedSemaphore(n))
+    return use
+
+
+class TestBlockPool:
+    # last blocks of 3,392 (one slice under 4,096 samples), 4,464 (one
+    # slice) and 16,960 samples (16,384 plus the remainder)
+    @pytest.mark.parametrize("samples", [200_000, 70_000, 1_000_000])
+    def test_pool_width_changes_no_bit(self, cpus, samples):
+        cfg = McConfig(samples=samples, seed=4)
+        cpus(1)
+        inline = c3mc.c3_pair(C3_POINT, cfg)
+        cpus(2)
+        pooled = c3mc.c3_pair(C3_POINT, cfg)
+        for a, b in ((pooled.t_d, inline.t_d), (pooled.t_e, inline.t_e), (pooled.cov, inline.cov)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert pooled.n_rejected == inline.n_rejected
+
+    @pytest.mark.parametrize("n", [65_536, 40_000, 16_960, 3_392])
+    def test_weighing_in_slices_changes_no_bit(self, n):
+        sample = c3mc._draw(np.array([4, 11], dtype=np.uint64), 0, n, McConfig().r_max)
+        weigh = c3mc._kernel(C3_POINT, McConfig())
+        slices = c3mc._slices(n)
+        assert slices[0][0] == 0 and slices[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+        # numpy's operand order in the kernel changes at 4,096 samples
+        assert min(hi - lo for lo, hi in slices) >= min(n, 4096)
+        whole = weigh(*sample)
+        parts = np.concatenate([weigh(*(a[lo:hi] for a in sample)) for lo, hi in slices], axis=1)
+        assert parts.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3, 64])
+    def test_pool_width_is_capped_by_cpus_and_blocks(self, cpus, monkeypatch, n_cpus):
+        # a recording executor that maps serially: no thread is started
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, thread_name_prefix=""):
+                self.width, self.maps = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                self.maps.append(list(items))
+                return map(fn, self.maps[-1])
+
+        monkeypatch.setattr(c3mc, "ThreadPoolExecutor", RecordingPool)
+        cpus(n_cpus)
+        c3mc.c3_pair(C3_POINT, McConfig(samples=60_000, seed=4))  # one block: inline
+        assert pools == []
+        for samples in (200_000, 70_000):  # 4 and 2 blocks
+            c3mc.c3_pair(C3_POINT, McConfig(samples=samples, seed=4))
+        assert [p.width for p in pools] == ([] if n_cpus == 1 else [min(n_cpus, 4), 2])
+        assert [p.maps for p in pools] == ([] if n_cpus == 1 else [[[0, 1, 2, 3]], [[0, 1]]])
+
+    def test_blocks_run_on_at_most_one_thread_per_cpu(self, cpus, monkeypatch):
+        # 8 scan workers, 4 two-block points, 2 usable CPUs: the blocks run
+        # on pool threads, never more than 2 at once, and no pool thread
+        # outlives its point
+        active, seen, lock = [0, 0], set(), threading.Lock()
+
+        def kernel(kin, cfg):
+            weigh = REAL_KERNEL(kin, cfg)
+
+            def counted(*sample):
+                with lock:
+                    active[0] += 1
+                    active[1] = max(active)
+                    seen.add(threading.current_thread().name)
+                try:
+                    time.sleep(0.01)  # let the other threads catch up
+                    return weigh(*sample)
+                finally:
+                    with lock:
+                        active[0] -= 1
+            return counted
+
+        monkeypatch.setattr(c3mc, "_kernel", kernel)
+        cpus(2)
+        cfg = parse_config({"model": "c3", "eb_ev": 5.0, "theta_min_deg": -90.0,
+                            "theta_max_deg": 0.0, "step_deg": 90.0,
+                            "mc": {"samples": 70_000, "seed": 5}})
+        amplitude_grids(cfg, workers=8)
+        assert active[0] == 0 and 0 < active[1] <= 2
+        assert seen and all(name.startswith("c3mc-block") for name in seen)
+        assert not [t for t in threading.enumerate() if t.name.startswith("c3mc-block")]
+
+        seen.clear()
+        c3mc.c3_pair(C3_POINT, McConfig(samples=20_000, seed=4))
+        assert seen == {threading.current_thread().name}
+
+    def test_peak_memory_of_a_pooled_point(self, cpus):
+        # two blocks in flight take less memory than one unsliced block did
+        cfg = McConfig(samples=1_000_000, seed=4)
+        cpus(2)
+        c3mc.c3_pair(C3_POINT, replace(cfg, samples=2_000))  # wave tables
+        tracemalloc.start()
+        try:
+            c3mc.c3_pair(C3_POINT, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak / 2**20

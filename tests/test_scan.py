@@ -367,7 +367,7 @@ class TestRunScanC3:
                 return map(fn, items)
 
         monkeypatch.setattr(scan, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(c3mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         cfg = parse_config({"model": "c3", "theta_min_deg": -90.0, "theta_max_deg": 0.0,
                             "step_deg": 90.0, "mc": {"samples": 2000, "seed": 5}})
         td, te, covs = amplitude_grids(cfg, workers=workers)
