@@ -72,10 +72,16 @@ Randomness comes from counter-based Philox streams keyed by the seed and
 a blake2b word of the physical point: e0, e_t (exact float64) and the
 unordered pair {(e_a, theta_A), (e_b, theta_B)}, angles in integer
 micro-degrees wrapped into (-180, 180]; the block index is the top word
-of the counter.  An estimate is thus a pure function of (config,
-physical point, seed), and relabeling the electrons swaps t_d and t_e
-exactly.  Blocks are reduced in a fixed order, so reruns give the same
-bits.
+of the counter.  The reflection x -> -x leaves the beam and the 1s
+target alone and maps (theta_A, theta_B) to (-theta_A, -theta_B) with
+the same T matrix, so the word hashes the smaller of the sorted pair
+and its mirror image (180 degrees stays 180).  ``c3_pair`` estimates a
+point whose mirror image is the smaller at that image: its momenta are
+the exact x-negations of the point's, so a point and its image give the
+same bits.  An estimate is thus a pure function of (config, physical
+point up to reflection, seed), and relabeling the electrons swaps t_d
+and t_e exactly.  Blocks are reduced in a fixed order, so reruns give
+the same bits.
 """
 
 from __future__ import annotations
@@ -92,14 +98,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import McConfig
-from .kinematics import Kinematics
+from .kinematics import Kinematics, build_coplanar
 from .special import Coulomb1F1Table, coulomb_norm
 # The tables call kummer_1f1 inside special.  The name stays importable
 # here because bench/test_smoke.py checks that bench/tracing.py wraps it
 # where c3mc looks it up; drop it when the benchmark next changes.
 from .special import kummer_1f1  # noqa: F401
 
-__all__ = ["PairEstimate", "c3_pair", "usable_cpus", "BLOCK_SIZE"]
+__all__ = ["PairEstimate", "c3_pair", "is_own_mirror", "usable_cpus", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 65536
 # samples weighed at once, the remainder of a block merged into its last
@@ -154,10 +160,26 @@ def _micro_degrees(theta: float) -> int:
     return m - turn if m > turn // 2 else m
 
 
+def _electrons(kin: Kinematics, sign: float) -> list[tuple[float, int]]:
+    """The sorted (energy, micro-degrees) of ``kin``'s electrons, angles times ``sign``."""
+    return sorted([(kin.e_a, _micro_degrees(sign * kin.theta_a)),
+                   (kin.e_b, _micro_degrees(sign * kin.theta_b))])
+
+
+def is_own_mirror(kin: Kinematics) -> bool:
+    """Whether the reflection x -> -x maps ``kin``'s stream key onto itself.
+
+    It does when both electrons lie on the beam axis (0 or 180 degrees),
+    or at equal energies with theta_B = -theta_A.  ``c3_pair`` estimates
+    such a point as it is; every other point shares its estimate with
+    its mirror image.
+    """
+    return _electrons(kin, -1.0) == _electrons(kin, 1.0)
+
+
 def _stream_word(kin: Kinematics) -> int:
     """The 64-bit Philox key word of ``kin``'s physical point (not salted)."""
-    electrons = sorted([(kin.e_a, _micro_degrees(kin.theta_a)),
-                        (kin.e_b, _micro_degrees(kin.theta_b))])
+    electrons = min(_electrons(kin, 1.0), _electrons(kin, -1.0))
     data = struct.pack("<2d", kin.e0, kin.e_t) + b"".join(
         struct.pack("<dq", e, m) for e, m in electrons)
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
@@ -340,6 +362,10 @@ def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
         # coincident outgoing momenta: the repulsive correlation factor
         # suppresses the state completely and the T matrix vanishes
         return PairEstimate(0.0 + 0.0j, 0.0 + 0.0j, np.zeros((4, 4)), n_total, 0)
+    if _electrons(kin, -1.0) < _electrons(kin, 1.0):
+        # the mirror image x -> -x has the same T matrix and the canonical
+        # key; its momenta are the exact x-negations of these
+        kin = build_coplanar(kin.e0, kin.e_b, -kin.theta_a, -kin.theta_b, kin.e_t)
     weigh = _kernel(kin, cfg)
     key = np.array([cfg.seed, _stream_word(kin)], dtype=np.uint64)
     r_max = float(cfg.r_max)
@@ -356,7 +382,8 @@ def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
                 for lo, hi in slices:
                     w[:, lo:hi] = weigh(*(a[lo:hi] for a in sample))
             finite = np.isfinite(w).all(axis=0)
-            w = np.where(finite, w, 0.0)
+            if not finite.all():
+                w = np.where(finite, w, 0.0)
             x = np.stack([w[0].real, w[0].imag, w[1].real, w[1].imag])
             return x.sum(axis=1), x @ x.T, int(np.count_nonzero(~finite))
 

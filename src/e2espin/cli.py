@@ -145,7 +145,7 @@ def cmd_point(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     os.makedirs(cfg.output_dir, exist_ok=True)  # an unusable directory fails before the grid
     obs, thetas = run_scan(cfg, workers=args.workers)
@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="full angle-grid scan with CSV/PGM output")
     add_common(p_scan)
     p_scan.add_argument("--output-dir", help="directory for records.csv and PGM maps")
-    p_scan.add_argument("--workers", type=int, default=1, help="parallel grid workers")
+    p_scan.add_argument("--workers", type=int,
+                        help="parallel grid workers (default: the usable CPUs)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_sim = sub.add_parser("bell-sim", help="simulated CHSH coincidence run at one point")

@@ -32,21 +32,28 @@ shortest round-trip decimal form, a 3C point's random stream follows
 from its kinematics alone (``c3mc``), and assembly is ordered no matter
 how many workers run the grid.
 
-At equal energy sharing a 3C scan estimates only the cells with
-theta_A <= theta_B (by grid index) and fills the others by relabeling
-the electrons: t_d(theta_A, theta_B) = t_e(theta_B, theta_A).  The
-stream key of ``c3mc`` holds the unordered electron pair, and the
-sampler treats the two electrons alike, so an estimate of the swapped
-point would give exactly these bits; the fill changes no output byte.
+A 3C scan estimates one cell per orbit of the grid's symmetries and
+fills the others.  At equal energy sharing, relabeling the electrons
+gives t_d(theta_A, theta_B) = t_e(theta_B, theta_A).  The reflection
+x -> -x gives t(theta_A, theta_B) = t(-theta_A, -theta_B) at any
+sharing.  The stream key of ``c3mc`` holds the unordered electron pair
+up to reflection, the sampler treats the two electrons alike, and
+``c3mc.c3_pair`` estimates a point and its mirror image on the same
+kinematics, so an estimate of a filled cell would give exactly its
+bits; the fill changes no output byte.  At equal sharing about a
+quarter of the cells are estimated.  A filled cell's error is its
+source's, fully correlated: mirrored and relabeled cells are not
+independent samples.
 
-A 3C scan runs its points on up to ``workers`` threads, capped by the
-estimated cells and the usable CPUs (``c3mc.usable_cpus``).  A point of
-more than one sample block (``c3mc.BLOCK_SIZE``) runs its blocks on a
-pool of its own, so it uses every usable CPU even with one worker; a
-one-block point runs in its worker's thread.  Either way a block is
-computed only in one of ``c3mc``'s process-wide CPU slots, so however
-many workers run, no more blocks than usable CPUs compute at once, and
-the working memory stays within usable CPUs times one sliced block.
+A 3C scan runs its points on up to ``workers`` threads (by default the
+usable CPUs, ``c3mc.usable_cpus``), capped by the estimated cells and
+the usable CPUs.  A point of more than one sample block
+(``c3mc.BLOCK_SIZE``) runs its blocks on a pool of its own, so it uses
+every usable CPU even with one worker; a one-block point runs in its
+worker's thread.  Either way a block is computed only in one of
+``c3mc``'s process-wide CPU slots, so however many workers run, no
+more blocks than usable CPUs compute at once, and the working memory
+stays within usable CPUs times one sliced block.
 """
 
 from __future__ import annotations
@@ -265,36 +272,67 @@ _RELABELED = [2, 3, 0, 1]
 def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, workers: int):
     """Per-point 3C amplitudes and TDCS-gradient covariances.
 
-    On a grid that relabeling the electrons maps onto itself, cell
-    (j, i) is cell (i, j) with the electrons swapped and is filled
-    from it (``amplitude_grids``).
+    Estimates one cell per orbit of the grid's symmetries and fills the
+    rest of the orbit from it (``amplitude_grids``).  On a grid that
+    relabeling the electrons maps onto itself, cell (j, i) is cell (i, j)
+    with the electrons swapped.  On a grid whose axes negation maps onto
+    themselves, cell (n-1-i, n-1-j) is the mirror image of cell (i, j),
+    with the same estimate, unless ``c3mc.is_own_mirror`` holds there:
+    +-180 degrees are one direction to the stream key but not to the
+    momenta, which differ in the last bit.
     """
     e0, eb, et = cfg.energies_hartree()
     na, nb = len(ta_rad), len(tb_rad)
     # e_a as build_coplanar computes it
     relabel = e0 + et - eb == eb and np.array_equal(ta_rad, tb_rad)
-    cells = [(i, j) for i in range(na) for j in range(i if relabel else 0, nb)]
+    reflect = np.array_equal(ta_rad, -ta_rad[::-1]) and np.array_equal(tb_rad, -tb_rad[::-1])
 
-    def do_point(cell):
+    def kin_at(cell):
         i, j = cell
-        kin = build_coplanar(e0, eb, float(ta_rad[i]), float(tb_rad[j]), et)
-        return c3mc.c3_pair(kin, cfg.mc)
+        return build_coplanar(e0, eb, float(ta_rad[i]), float(tb_rad[j]), et)
 
-    # the pool starts a thread per cell up to this
-    workers = min(workers, len(cells), c3mc.usable_cpus())
+    # each estimated cell's orbit as {cell: relabeled}; where two images
+    # land on one cell (on the diagonal) the earlier, unrelabeled one holds,
+    # as that is what c3_pair gives there
+    orbits, done = [], np.zeros((na, nb), dtype=bool)
+    for cell in np.ndindex(na, nb):
+        if done[cell]:
+            continue
+        i, j = cell
+        images = [(cell, False)]
+        mirror = reflect and not c3mc.is_own_mirror(kin_at(cell))
+        if mirror:
+            images.append(((na - 1 - i, nb - 1 - j), False))
+        if relabel:
+            images.append(((j, i), True))
+        if relabel and mirror:
+            images.append(((nb - 1 - j, na - 1 - i), True))
+        orbit = {}
+        for image, relabeled in images:
+            orbit.setdefault(image, relabeled)
+            done[image] = True
+        orbits.append(orbit)
+
+    def do_point(orbit):
+        return c3mc.c3_pair(kin_at(next(iter(orbit))), cfg.mc)
+
+    # the pool starts a thread per orbit up to this
+    workers = min(workers, len(orbits), c3mc.usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(do_point, cells))
+            estimates = list(pool.map(do_point, orbits))
     else:
-        estimates = [do_point(cell) for cell in cells]
+        estimates = [do_point(orbit) for orbit in orbits]
     td = np.empty((na, nb), dtype=complex)
     te = np.empty((na, nb), dtype=complex)
     covs = np.empty((na, nb, 4, 4))
-    for (i, j), est in zip(cells, estimates):
-        td[i, j], te[i, j], covs[i, j] = est.t_d, est.t_e, est.cov
-        if relabel and i != j:
-            td[j, i], te[j, i] = est.t_e, est.t_d
-            covs[j, i] = est.cov[np.ix_(_RELABELED, _RELABELED)]
+    for orbit, est in zip(orbits, estimates):
+        relabeled_cov = est.cov[np.ix_(_RELABELED, _RELABELED)]
+        for cell, relabeled in orbit.items():
+            if relabeled:
+                td[cell], te[cell], covs[cell] = est.t_e, est.t_d, relabeled_cov
+            else:
+                td[cell], te[cell], covs[cell] = est.t_d, est.t_e, est.cov
     return td, te, covs
 
 
@@ -308,19 +346,24 @@ def _wootters_grid(td, te, p1, p2) -> np.ndarray:
     return out
 
 
-def amplitude_grids(cfg: ScanConfig, workers: int = 1, theta_a_deg=None, theta_b_deg=None):
+def amplitude_grids(cfg: ScanConfig, workers: int | None = None, theta_a_deg=None,
+                    theta_b_deg=None):
     """Amplitude arrays (t_d, t_e, covariances) on a (theta_A, theta_B) grid.
 
     Both angle axes default to the configured grid; ``point`` passes one
     angle each.  A 3C estimate depends on its own angles only, not on the
     grid around it.  When both axes are the same array and the outgoing
-    energies are bitwise equal, 3C estimates the cells i <= j and fills
-    cell (j, i) from cell (i, j) with t_d and t_e exchanged and the
-    covariance reordered: bit for bit what estimating the relabeled
-    point gives.  Every other grid estimates all cells.  The covariance
-    array is None for the analytic Born model.  The grids do not depend
-    on the polarization scenario, so one evaluation can feed several
-    scenario assemblies.
+    energies are bitwise equal, 3C fills cell (j, i) from cell (i, j)
+    with t_d and t_e exchanged and the covariance reordered.  When
+    negation maps each axis onto itself bit for bit, it fills cell
+    (n-1-i, n-1-j), the mirror image, from cell (i, j) as it is, except
+    where both angles are 0 or +-180 degrees.  Either fill is bit for bit
+    what estimating the filled point gives, and with both an
+    equal-sharing grid estimates about a quarter of its cells.  3C runs
+    its points on ``workers`` threads, by default the usable CPUs.  The
+    covariance array is None for the analytic Born model.  The grids do
+    not depend on the polarization scenario, so one evaluation can feed
+    several scenario assemblies.
     """
     grid = cfg.grid_deg()
     ta = np.deg2rad(grid if theta_a_deg is None else theta_a_deg)
@@ -330,7 +373,7 @@ def amplitude_grids(cfg: ScanConfig, workers: int = 1, theta_a_deg=None, theta_b
         td, te = pwba_grid(e0, eb, et, ta, tb)
         return td, te, None
     if cfg.model == "c3":
-        return _c3_amplitude_grid(cfg, ta, tb, workers)
+        return _c3_amplitude_grid(cfg, ta, tb, c3mc.usable_cpus() if workers is None else workers)
     raise ValueError(f"unknown amplitude model {cfg.model!r}")
 
 
@@ -409,7 +452,7 @@ def observables_from_amplitudes(cfg: ScanConfig, td, te, covs=None) -> dict:
     return obs
 
 
-def run_scan(cfg: ScanConfig, workers: int = 1) -> tuple[dict, np.ndarray]:
+def run_scan(cfg: ScanConfig, workers: int | None = None) -> tuple[dict, np.ndarray]:
     """Evaluate all observables on the configured angle grid.
 
     Returns the observables dict (arrays indexed [theta_A, theta_B])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 import time
@@ -112,21 +113,39 @@ class TestStreamKey:
         assert base != stream_word(E0 + 0.25, EB, 40.0, -70.0, et=ET - 0.25)
         assert base != stream_word(2.1, EB, 40.0, -70.0)
 
+    def test_mirror_image_shares_the_word(self):
+        # x -> -x maps (thetaA, thetaB) to (-thetaA, -thetaB); 180 deg stays 180
+        assert stream_word(E0, EB, 40.0, -70.0) == stream_word(E0, EB, -40.0, 70.0)
+        assert stream_word(E0, EB, 180.0, 40.0) == stream_word(E0, EB, -180.0, -40.0)
+        assert stream_word(E0, EB, 40.0, -70.0) != stream_word(E0, EB, -40.0, -70.0)
+        # the canonical member keeps the word it had before reflection shared it
+        assert c3mc._stream_word(C3_POINT) == 7397496058057166766
+
     def test_default_grid_has_no_repeated_word(self):
         # the default 181^2 grid at equal sharing and at 5 eV: one word per
-        # physical point, where a point is an unordered pair of electrons
-        # and +-180 deg is one direction
+        # physical point up to relabeling and reflection, where a point is
+        # an unordered pair of electrons, +-180 deg is one direction and the
+        # reflection negates both angles
         grid = parse_config({}).grid_deg()
         wrapped = np.where(grid == -180.0, 180.0, grid)
+
+        def mirror(t):
+            return t if t == 180.0 else -t
+
         points, words = set(), set()
         for eb_ev in (None, 5.0):
             e0, eb, et = parse_config({"eb_ev": eb_ev}).energies_hartree()
             e_a = e0 + et - eb
             for ta, wa in zip(grid, wrapped):
                 for tb, wb in zip(grid, wrapped):
-                    points.add((e_a, eb, frozenset([(e_a, wa), (eb, wb)])))
+                    pair = frozenset([(e_a, wa), (eb, wb)])
+                    image = frozenset([(e_a, mirror(wa)), (eb, mirror(wb))])
+                    points.add((e_a, eb, frozenset([pair, image])))
                     words.add(stream_word(e0, eb, ta, tb, et))
-        assert len(points) == 180 * 181 // 2 + 180**2
+        # orbits of the reflection on the 180 directions (0 and 180 fixed):
+        # at equal sharing 180 * 181 / 2 unordered pairs, 3 + 89 of them
+        # fixed; at 5 eV 180^2 ordered pairs, 4 of them fixed
+        assert len(points) == (180 * 181 // 2 + 92) // 2 + (180**2 + 4) // 2
         assert len(words) == len(points)
 
 
@@ -499,3 +518,52 @@ class TestBlockPool:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, peak / 2**20
+
+
+def same_estimate(a, b) -> bool:
+    return (np.asarray(a.t_d).tobytes() == np.asarray(b.t_d).tobytes()
+            and np.asarray(a.t_e).tobytes() == np.asarray(b.t_e).tobytes()
+            and a.cov.tobytes() == b.cov.tobytes() and a.n_rejected == b.n_rejected)
+
+
+class TestReflection:
+    # the T matrix is invariant under x -> -x, which maps (thetaA, thetaB)
+    # to (-thetaA, -thetaB): a point and its mirror image share one estimate
+
+    # equal sharing (EB), unequal sharing, the +-180 wrap, a 0 deg electron
+    # and the plane-wave limit
+    @pytest.mark.parametrize("eb, theta_a, theta_b, free", [
+        (EB, 40.0, -70.0, False), (EB, 30.0, 80.0, False), (0.5, 40.0, -70.0, False),
+        (5.0 / HARTREE_EV, 20.0, -60.0, False), (EB, 180.0, 40.0, False),
+        (0.5, -180.0, 40.0, False), (0.5, 0.0, 110.0, False), (EB, 40.0, -70.0, True)])
+    def test_mirror_images_give_the_same_bits(self, eb, theta_a, theta_b, free):
+        cfg = McConfig(samples=5_000, seed=7, debug_free_limit=free)
+        a = c3mc.c3_pair(kin_at(theta_a, theta_b, eb), cfg)
+        b = c3mc.c3_pair(kin_at(-theta_a, -theta_b, eb), cfg)
+        assert same_estimate(a, b)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_multi_block_mirror_images_give_the_same_bits(self, cpus, n_cpus):
+        cpus(n_cpus)
+        cfg = McConfig(samples=200_000, seed=4)
+        mirror = build_coplanar(C3_POINT.e0, C3_POINT.e_b, -C3_POINT.theta_a,
+                                -C3_POINT.theta_b, C3_POINT.e_t)
+        assert same_estimate(c3mc.c3_pair(C3_POINT, cfg), c3mc.c3_pair(mirror, cfg))
+
+    def test_own_mirrors(self):
+        assert c3mc.is_own_mirror(kin_at(0.0, 180.0))
+        assert c3mc.is_own_mirror(kin_at(-180.0, 0.0))
+        assert c3mc.is_own_mirror(kin_at(30.0, -30.0))  # equal sharing
+        assert not c3mc.is_own_mirror(kin_at(30.0, -30.0, 0.5))
+        assert not c3mc.is_own_mirror(kin_at(0.0, 40.0))
+
+    def test_canonical_point_keeps_its_bits(self):
+        # the benchmark's c3_point config: its word and estimate are those it
+        # had before mirror images shared a stream
+        est = c3mc.c3_pair(C3_POINT, McConfig(samples=1_000_000, seed=0))
+        assert [x.hex() for x in (est.t_d.real, est.t_d.imag, est.t_e.real, est.t_e.imag)] == [
+            "-0x1.355aa42d44cb2p+6", "-0x1.11ceb478e022ep+6",
+            "-0x1.878dc225202d5p+3", "-0x1.d8352a9783d5ep+1"]
+        assert hashlib.blake2b(est.cov.tobytes(), digest_size=16).hexdigest() == (
+            "1a77c6d32ce76d209b7cb370ee7b76fd")
+        assert est.n_rejected == 0

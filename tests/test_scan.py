@@ -453,19 +453,22 @@ C3_SCAN = {"model": "c3", "e0_ev": 54.4, "theta_min_deg": -150.0, "theta_max_deg
 
 
 class TestRelabelingFill:
-    # at equal sharing a 3C grid estimates the cells i <= j and fills the rest
+    # a 3C grid estimates one cell per orbit of relabeling the electrons (at
+    # equal sharing) and of the reflection x -> -x, and fills the rest
 
     def test_filled_cells_equal_independent_points(self):
         # the +-180 rows and the theta_B = -theta_A cells included
-        cfg = parse_config({"model": "c3", "theta_min_deg": -180.0, "theta_max_deg": 180.0,
-                            "step_deg": 45.0, "mc": {"samples": 2000, "seed": 3}})
-        td, te, covs = amplitude_grids(cfg)
-        thetas = cfg.grid_deg()
-        for i, j in zip(*np.triu_indices(len(thetas), 1)):
-            ptd, pte, pcovs = amplitude_grids(cfg, theta_a_deg=[thetas[j]],
-                                              theta_b_deg=[thetas[i]])
-            assert same_bits(ptd[0, 0], td[j, i]) and same_bits(pte[0, 0], te[j, i])
-            assert same_bits(pcovs[0, 0], covs[j, i])
+        for eb_ev in (None, 5.0):
+            cfg = parse_config({"model": "c3", "eb_ev": eb_ev, "theta_min_deg": -180.0,
+                                "theta_max_deg": 180.0, "step_deg": 45.0,
+                                "mc": {"samples": 2000, "seed": 3}})
+            td, te, covs = amplitude_grids(cfg)
+            thetas = cfg.grid_deg()
+            for i, j in np.ndindex(td.shape):
+                ptd, pte, pcovs = amplitude_grids(cfg, theta_a_deg=[thetas[i]],
+                                                  theta_b_deg=[thetas[j]])
+                assert same_bits(ptd[0, 0], td[i, j]) and same_bits(pte[0, 0], te[i, j])
+                assert same_bits(pcovs[0, 0], covs[i, j])
 
     def test_c3_scan_estimates_half_and_builds_one_wave_table(self, monkeypatch):
         pairs = recording(monkeypatch, c3mc, "c3_pair")
@@ -473,22 +476,24 @@ class TestRelabelingFill:
         kummer = recording(monkeypatch, special, "kummer_1f1", pause=0.01)
         c3mc._wave_table.cache_clear()
         amplitude_grids(parse_config(C3_SCAN), workers=2)
-        assert len(pairs) == 66  # 11 * 12 / 2, the coincident diagonal included
+        # (121 + 11 + 1 + 11) / 4 orbits of relabeling and reflection, the
+        # 6 orbits of the coincident diagonal included
+        assert len(pairs) == 36
         computed = sum(float((kin.k_a - kin.k_b) @ (kin.k_a - kin.k_b)) > 0.0
                        for kin, _ in pairs)
-        assert computed == 55
+        assert computed == 30
         # a correlation table per computed point, one wave table for them all
         assert len(kummer) <= computed + 1
 
     @pytest.mark.parametrize("over, calls", [
-        ({"eb_ev": 20.3971535}, 66),  # half of e0 + E_T, in binary too
-        ({"eb_ev": 5.0}, 121),
-        ({"e0_ev": 60.0, "eb_ev": 23.1971535}, 121),  # half in decimal only
+        ({"eb_ev": 20.3971535}, 36),  # half of e0 + E_T, in binary too
+        ({"eb_ev": 5.0}, 61),  # (121 + 1) / 2 orbits of the reflection
+        ({"e0_ev": 60.0, "eb_ev": 23.1971535}, 61),  # half in decimal only
     ], ids=["bitwise_half", "eb_5", "decimal_half"])
     def test_explicit_eb_is_reduced_at_bitwise_equal_energies(self, monkeypatch, over, calls):
         cfg = parse_config({**C3_SCAN, **over, "mc": {"samples": 1000}})
         e0, eb, et = cfg.energies_hartree()
-        assert (e0 + et - eb == eb) == (calls == 66)
+        assert (e0 + et - eb == eb) == (calls == 36)
         if cfg.eb_ev != 5.0:
             assert 2 * Decimal(repr(cfg.eb_ev)) == Decimal(repr(cfg.e0_ev)) + Decimal(
                 repr(HYDROGEN_ET_EV))
@@ -502,6 +507,13 @@ class TestRelabelingFill:
         pairs = recording(monkeypatch, c3mc, "c3_pair")
         amplitude_grids(cfg, theta_a_deg=thetas, theta_b_deg=thetas[::-1])
         assert len(pairs) == 9
+
+    def test_grid_not_closed_under_negation_is_relabeled_only(self, monkeypatch):
+        # -150 .. 180 deg is not closed under negation: relabeling alone, 12 * 13 / 2 cells
+        cfg = parse_config({**C3_SCAN, "theta_max_deg": 180.0, "mc": {"samples": 1000}})
+        pairs = recording(monkeypatch, c3mc, "c3_pair")
+        amplitude_grids(cfg)
+        assert len(pairs) == 78
 
 
 class TestCsv:
