@@ -76,12 +76,14 @@ of the counter.  The reflection x -> -x leaves the beam and the 1s
 target alone and maps (theta_A, theta_B) to (-theta_A, -theta_B) with
 the same T matrix, so the word hashes the smaller of the sorted pair
 and its mirror image (180 degrees stays 180).  ``c3_pair`` estimates a
-point whose mirror image is the smaller at that image: its momenta are
-the exact x-negations of the point's, so a point and its image give the
-same bits.  An estimate is thus a pure function of (config, physical
-point up to reflection, seed), and relabeling the electrons swaps t_d
-and t_e exactly.  Blocks are reduced in a fixed order, so reruns give
-the same bits.
+point whose mirror image is the smaller at that image (``_canonical``):
+its momenta are the exact x-negations of the point's, so a point and
+its image give the same bits.  An estimate is thus a pure function of
+(config, physical point up to reflection, seed), and relabeling the
+electrons swaps t_d and t_e exactly.  ``estimate_key`` names that
+point: cells with equal keys share one estimate, which is how ``scan``
+fills a grid.  Blocks are reduced in a fixed order, so reruns give the
+same bits.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ from .special import Coulomb1F1Table, coulomb_norm
 # where c3mc looks it up; drop it when the benchmark next changes.
 from .special import kummer_1f1  # noqa: F401
 
-__all__ = ["PairEstimate", "c3_pair", "is_own_mirror", "usable_cpus", "BLOCK_SIZE"]
+__all__ = ["PairEstimate", "c3_pair", "estimate_key", "usable_cpus", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 65536
 # samples weighed at once, the remainder of a block merged into its last
@@ -166,20 +168,45 @@ def _electrons(kin: Kinematics, sign: float) -> list[tuple[float, int]]:
                    (kin.e_b, _micro_degrees(sign * kin.theta_b))])
 
 
-def is_own_mirror(kin: Kinematics) -> bool:
-    """Whether the reflection x -> -x maps ``kin``'s stream key onto itself.
+def _is_mirrored(kin: Kinematics) -> bool:
+    """Whether ``kin``'s mirror image has the smaller ``_electrons``.
 
-    It does when both electrons lie on the beam axis (0 or 180 degrees),
-    or at equal energies with theta_B = -theta_A.  ``c3_pair`` estimates
-    such a point as it is; every other point shares its estimate with
-    its mirror image.
+    The reflection x -> -x negates both angles (180 degrees stays 180)
+    and keeps the T matrix; the member of a point and its image with the
+    smaller ``_electrons`` is the one ``c3_pair`` estimates.
     """
-    return _electrons(kin, -1.0) == _electrons(kin, 1.0)
+    return _electrons(kin, -1.0) < _electrons(kin, 1.0)
+
+
+def _canonical(kin: Kinematics) -> Kinematics:
+    """The kinematics ``c3_pair`` estimates at ``kin``: ``kin`` or its mirror image.
+
+    The image's momenta are the exact x-negations of ``kin``'s.
+    """
+    if _is_mirrored(kin):
+        return build_coplanar(kin.e0, kin.e_b, -kin.theta_a, -kin.theta_b, kin.e_t)
+    return kin
+
+
+def estimate_key(kin: Kinematics) -> tuple[tuple, bool]:
+    """The point ``c3_pair`` estimates at ``kin``, and whether ``kin`` lists its electrons swapped.
+
+    The key is hashable: e0, e_t and the sorted (energy, micro-degrees,
+    momentum) of the electrons of ``_canonical(kin)``, momenta compared
+    by value (so -0.0 matches 0.0).  For any McConfig, kinematics with
+    equal keys give the same ``c3_pair`` bits, with t_d and t_e, and
+    the covariance blocks of their parts, exchanged where ``swapped``
+    differs.
+    """
+    kin = _canonical(kin)
+    a = (kin.e_a, _micro_degrees(kin.theta_a), *kin.k_a.tolist())
+    b = (kin.e_b, _micro_degrees(kin.theta_b), *kin.k_b.tolist())
+    return (kin.e0, kin.e_t, min(a, b), max(a, b)), b < a
 
 
 def _stream_word(kin: Kinematics) -> int:
-    """The 64-bit Philox key word of ``kin``'s physical point (not salted)."""
-    electrons = min(_electrons(kin, 1.0), _electrons(kin, -1.0))
+    """The 64-bit Philox key word of ``kin``'s physical point up to reflection (not salted)."""
+    electrons = _electrons(kin, -1.0 if _is_mirrored(kin) else 1.0)
     data = struct.pack("<2d", kin.e0, kin.e_t) + b"".join(
         struct.pack("<dq", e, m) for e, m in electrons)
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
@@ -362,10 +389,7 @@ def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
         # coincident outgoing momenta: the repulsive correlation factor
         # suppresses the state completely and the T matrix vanishes
         return PairEstimate(0.0 + 0.0j, 0.0 + 0.0j, np.zeros((4, 4)), n_total, 0)
-    if _electrons(kin, -1.0) < _electrons(kin, 1.0):
-        # the mirror image x -> -x has the same T matrix and the canonical
-        # key; its momenta are the exact x-negations of these
-        kin = build_coplanar(kin.e0, kin.e_b, -kin.theta_a, -kin.theta_b, kin.e_t)
+    kin = _canonical(kin)
     weigh = _kernel(kin, cfg)
     key = np.array([cfg.seed, _stream_word(kin)], dtype=np.uint64)
     r_max = float(cfg.r_max)

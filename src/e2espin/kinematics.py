@@ -4,7 +4,7 @@ Atomic units throughout: energies in hartree, momenta in 1/bohr, cross
 sections in bohr^2 / hartree / sr^2.  The beam travels along +z and
 the scattering plane is xz.  Emission angles are measured from the
 beam, signed, positive in the upper half plane (+x side); both -pi and
-+pi describe the same backward direction.
++pi describe the same backward direction, and give the same momentum.
 
 The target is infinitely heavy and at rest, so energy conservation
 reads E_A + E_B = E_0 + E_T with E_T < 0 the bound-state energy.
@@ -57,6 +57,11 @@ def _freeze(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _sin(theta: float) -> float:
+    """sin(theta), exactly 0 at theta = +-pi, where math.sin gives +-1.2e-16."""
+    return 0.0 if abs(theta) == math.pi else math.sin(theta)
+
+
 def build_coplanar(e0: float, e_b: float, theta_a: float, theta_b: float, e_t: float) -> Kinematics:
     """Construct on-shell coplanar kinematics.
 
@@ -66,7 +71,9 @@ def build_coplanar(e0: float, e_b: float, theta_a: float, theta_b: float, e_t: f
     In symmetric kinematics (e_a == e_b with theta_b == -theta_a) the
     second momentum is built by mirroring the first through the beam
     axis, so the two outgoing momenta are exact reflections of each
-    other in floating point.
+    other in floating point.  At theta = -pi and +pi, the one backward
+    direction, a momentum has x component exactly 0, so both angles
+    give bitwise-equal momenta.
     """
     e0 = float(e0)
     e_b = float(e_b)
@@ -89,11 +96,11 @@ def build_coplanar(e0: float, e_b: float, theta_a: float, theta_b: float, e_t: f
     ka = math.sqrt(2.0 * e_a)
     kb = math.sqrt(2.0 * e_b)
     k0v = np.array([0.0, 0.0, math.sqrt(2.0 * e0)])
-    kav = np.array([ka * math.sin(theta_a), 0.0, ka * math.cos(theta_a)])
+    kav = np.array([ka * _sin(theta_a), 0.0, ka * math.cos(theta_a)])
     if e_a == e_b and theta_b == -theta_a:
         kbv = np.array([-kav[0], 0.0, kav[2]])
     else:
-        kbv = np.array([kb * math.sin(theta_b), 0.0, kb * math.cos(theta_b)])
+        kbv = np.array([kb * _sin(theta_b), 0.0, kb * math.cos(theta_b)])
     q = kav + kbv - k0v
     return Kinematics(
         e0=e0,

@@ -32,17 +32,15 @@ shortest round-trip decimal form, a 3C point's random stream follows
 from its kinematics alone (``c3mc``), and assembly is ordered no matter
 how many workers run the grid.
 
-A 3C scan estimates one cell per orbit of the grid's symmetries and
-fills the others.  At equal energy sharing, relabeling the electrons
-gives t_d(theta_A, theta_B) = t_e(theta_B, theta_A).  The reflection
-x -> -x gives t(theta_A, theta_B) = t(-theta_A, -theta_B) at any
-sharing.  The stream key of ``c3mc`` holds the unordered electron pair
-up to reflection, the sampler treats the two electrons alike, and
-``c3mc.c3_pair`` estimates a point and its mirror image on the same
-kinematics, so an estimate of a filled cell would give exactly its
-bits; the fill changes no output byte.  At equal sharing about a
-quarter of the cells are estimated.  A filled cell's error is its
-source's, fully correlated: mirrored and relabeled cells are not
+A 3C scan estimates one cell per ``c3mc.estimate_key`` and fills the
+others: cells with equal keys share one estimate, with t_d and t_e
+exchanged where the key says the electrons are listed in the other
+order.  The key is ``c3mc``'s alone (relabeling the electrons at equal
+sharing, the reflection (theta_A, theta_B) -> (-theta_A, -theta_B),
+-180 and +180 degrees as one direction), so an estimate of a filled
+cell would give exactly its bits and the fill changes no output byte.
+At equal sharing about a quarter of the cells are estimated.  A filled
+cell's error is its source's, fully correlated: such cells are not
 independent samples.
 
 A 3C scan runs its points on up to ``workers`` threads (by default the
@@ -272,64 +270,35 @@ _RELABELED = [2, 3, 0, 1]
 def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, workers: int):
     """Per-point 3C amplitudes and TDCS-gradient covariances.
 
-    Estimates one cell per orbit of the grid's symmetries and fills the
-    rest of the orbit from it (``amplitude_grids``).  On a grid that
-    relabeling the electrons maps onto itself, cell (j, i) is cell (i, j)
-    with the electrons swapped.  On a grid whose axes negation maps onto
-    themselves, cell (n-1-i, n-1-j) is the mirror image of cell (i, j),
-    with the same estimate, unless ``c3mc.is_own_mirror`` holds there:
-    +-180 degrees are one direction to the stream key but not to the
-    momenta, which differ in the last bit.
+    Cells with equal ``c3mc.estimate_key`` share one estimate: the first
+    of them in row-major order is estimated, and the others take its
+    amplitudes, with the electrons relabeled where their order differs.
     """
     e0, eb, et = cfg.energies_hartree()
-    na, nb = len(ta_rad), len(tb_rad)
-    # e_a as build_coplanar computes it
-    relabel = e0 + et - eb == eb and np.array_equal(ta_rad, tb_rad)
-    reflect = np.array_equal(ta_rad, -ta_rad[::-1]) and np.array_equal(tb_rad, -tb_rad[::-1])
+    # key -> (the first cell's kinematics and order, [(cell, order)])
+    groups = {}
+    for cell in np.ndindex(len(ta_rad), len(tb_rad)):
+        kin = build_coplanar(e0, eb, float(ta_rad[cell[0]]), float(tb_rad[cell[1]]), et)
+        key, swapped = c3mc.estimate_key(kin)
+        groups.setdefault(key, (kin, swapped, []))[2].append((cell, swapped))
 
-    def kin_at(cell):
-        i, j = cell
-        return build_coplanar(e0, eb, float(ta_rad[i]), float(tb_rad[j]), et)
+    def do_point(group):
+        return c3mc.c3_pair(group[0], cfg.mc)
 
-    # each estimated cell's orbit as {cell: relabeled}; where two images
-    # land on one cell (on the diagonal) the earlier, unrelabeled one holds,
-    # as that is what c3_pair gives there
-    orbits, done = [], np.zeros((na, nb), dtype=bool)
-    for cell in np.ndindex(na, nb):
-        if done[cell]:
-            continue
-        i, j = cell
-        images = [(cell, False)]
-        mirror = reflect and not c3mc.is_own_mirror(kin_at(cell))
-        if mirror:
-            images.append(((na - 1 - i, nb - 1 - j), False))
-        if relabel:
-            images.append(((j, i), True))
-        if relabel and mirror:
-            images.append(((nb - 1 - j, na - 1 - i), True))
-        orbit = {}
-        for image, relabeled in images:
-            orbit.setdefault(image, relabeled)
-            done[image] = True
-        orbits.append(orbit)
-
-    def do_point(orbit):
-        return c3mc.c3_pair(kin_at(next(iter(orbit))), cfg.mc)
-
-    # the pool starts a thread per orbit up to this
-    workers = min(workers, len(orbits), c3mc.usable_cpus())
+    # the pool starts a thread per group up to this
+    workers = min(workers, len(groups), c3mc.usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(do_point, orbits))
+            estimates = list(pool.map(do_point, groups.values()))
     else:
-        estimates = [do_point(orbit) for orbit in orbits]
-    td = np.empty((na, nb), dtype=complex)
-    te = np.empty((na, nb), dtype=complex)
-    covs = np.empty((na, nb, 4, 4))
-    for orbit, est in zip(orbits, estimates):
+        estimates = [do_point(group) for group in groups.values()]
+    td = np.empty((len(ta_rad), len(tb_rad)), dtype=complex)
+    te = np.empty_like(td)
+    covs = np.empty(td.shape + (4, 4))
+    for (_, first, cells), est in zip(groups.values(), estimates):
         relabeled_cov = est.cov[np.ix_(_RELABELED, _RELABELED)]
-        for cell, relabeled in orbit.items():
-            if relabeled:
+        for cell, swapped in cells:
+            if swapped != first:
                 td[cell], te[cell], covs[cell] = est.t_e, est.t_d, relabeled_cov
             else:
                 td[cell], te[cell], covs[cell] = est.t_d, est.t_e, est.cov
@@ -352,18 +321,15 @@ def amplitude_grids(cfg: ScanConfig, workers: int | None = None, theta_a_deg=Non
 
     Both angle axes default to the configured grid; ``point`` passes one
     angle each.  A 3C estimate depends on its own angles only, not on the
-    grid around it.  When both axes are the same array and the outgoing
-    energies are bitwise equal, 3C fills cell (j, i) from cell (i, j)
-    with t_d and t_e exchanged and the covariance reordered.  When
-    negation maps each axis onto itself bit for bit, it fills cell
-    (n-1-i, n-1-j), the mirror image, from cell (i, j) as it is, except
-    where both angles are 0 or +-180 degrees.  Either fill is bit for bit
-    what estimating the filled point gives, and with both an
-    equal-sharing grid estimates about a quarter of its cells.  3C runs
-    its points on ``workers`` threads, by default the usable CPUs.  The
-    covariance array is None for the analytic Born model.  The grids do
-    not depend on the polarization scenario, so one evaluation can feed
-    several scenario assemblies.
+    grid around it.  Cells with equal ``c3mc.estimate_key`` share one
+    estimate, with t_d and t_e exchanged and the covariance reordered
+    where the electrons are listed in the other order; the fill is bit
+    for bit what estimating the filled cell gives, and an equal-sharing
+    grid estimates about a quarter of its cells.  3C runs its points on
+    ``workers`` threads, by default the usable CPUs.  The covariance
+    array is None for the analytic Born model.  The grids do not depend
+    on the polarization scenario, so one evaluation can feed several
+    scenario assemblies.
     """
     grid = cfg.grid_deg()
     ta = np.deg2rad(grid if theta_a_deg is None else theta_a_deg)

@@ -550,12 +550,36 @@ class TestReflection:
                                 -C3_POINT.theta_b, C3_POINT.e_t)
         assert same_estimate(c3mc.c3_pair(C3_POINT, cfg), c3mc.c3_pair(mirror, cfg))
 
-    def test_own_mirrors(self):
-        assert c3mc.is_own_mirror(kin_at(0.0, 180.0))
-        assert c3mc.is_own_mirror(kin_at(-180.0, 0.0))
-        assert c3mc.is_own_mirror(kin_at(30.0, -30.0))  # equal sharing
-        assert not c3mc.is_own_mirror(kin_at(30.0, -30.0, 0.5))
-        assert not c3mc.is_own_mirror(kin_at(0.0, 40.0))
+    def test_mirror_images_share_a_key(self):
+        def key(theta_a, theta_b, eb=EB):
+            return c3mc.estimate_key(kin_at(theta_a, theta_b, eb))
+
+        # electrons on the beam axis; -0.0 matches 0.0 and -180 matches 180
+        assert key(0.0, 180.0) == key(-0.0, -180.0) == key(0.0, -180.0)
+        assert key(-180.0, 0.0) == key(180.0, 0.0)
+        # at equal sharing the mirror image of theta_B = -theta_A is the point
+        # relabeled; at unequal sharing it is another point with the same key
+        assert key(30.0, -30.0)[0] == key(-30.0, 30.0)[0]
+        assert key(30.0, -30.0)[1] != key(-30.0, 30.0)[1]
+        assert key(30.0, -30.0, 0.5) == key(-30.0, 30.0, 0.5)
+        assert key(0.0, 40.0) == key(0.0, -40.0)
+        # relabeling the electrons keeps the key and changes the order
+        assert key(30.0, 80.0)[0] == key(80.0, 30.0)[0] == key(-80.0, -30.0)[0]
+        assert key(30.0, 80.0)[1] != key(-80.0, -30.0)[1]
+        # different points, different keys
+        assert key(40.0, -70.0)[0] != key(-40.0, -70.0)[0]
+        assert key(30.0, -30.0)[0] != key(30.0, -30.0, 0.5)[0]
+        assert key(30.0, 80.0)[0] != key(30.000001, 80.0)[0]
+
+    def test_equal_keys_give_the_same_bits(self):
+        # (30, 80) is estimated at its mirror image (-30, -80), which
+        # relabeled is (-80, -30): t_d and t_e exchange, the covariance with them
+        cfg = McConfig(samples=3_000, seed=7)
+        a, b = kin_at(30.0, 80.0), kin_at(-80.0, -30.0)
+        assert c3mc.estimate_key(a)[0] == c3mc.estimate_key(b)[0]
+        x, y = c3mc.c3_pair(a, cfg), c3mc.c3_pair(b, cfg)
+        relabeled = replace(y, t_d=y.t_e, t_e=y.t_d, cov=y.cov[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])])
+        assert same_estimate(x, relabeled)
 
     def test_canonical_point_keeps_its_bits(self):
         # the benchmark's c3_point config: its word and estimate are those it

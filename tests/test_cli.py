@@ -106,6 +106,18 @@ class TestPointCommand:
         assert reports[0] == reports[1]
         assert reports[0]["t_d"]["stderr_re"] > 0.0
 
+    def test_c3_point_at_plus_and_minus_180_reports_the_same_amplitudes(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "c3", "mc": {"samples": 2000, "seed": 1}}))
+        reports = []
+        for theta_b in ("180", "-180"):
+            code, out, _ = run_cli(capsys, "point", "--config", str(cfg),
+                                   "--theta-a", "40", "--theta-b", theta_b)
+            assert code == EXIT_OK
+            reports.append(json.loads(out)["amplitudes"])
+        assert reports[0] == reports[1]
+        assert reports[0]["t_d"]["stderr_re"] > 0.0
+
     def test_c3_point_reports_errors(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "c3", "mc": {"samples": 2000, "seed": 1}}))

@@ -65,6 +65,15 @@ class TestBuildCoplanar:
         assert kin.q[0] == 0.0
         assert kin.q[1] == 0.0
 
+    def test_plus_and_minus_pi_give_one_backward_momentum(self):
+        # -pi and +pi are one direction: x is exactly 0, not sin(+-pi) = +-1.2e-16
+        for eb in (0.75, 0.5):
+            plus = build_coplanar(2.0, eb, math.pi, math.pi, -0.5)
+            minus = build_coplanar(2.0, eb, -math.pi, -math.pi, -0.5)
+            for k_plus, k_minus in ((plus.k_a, minus.k_a), (plus.k_b, minus.k_b)):
+                assert k_plus.tobytes() == k_minus.tobytes()
+                assert k_plus[0] == 0.0 and k_plus[2] < 0.0
+
     def test_closed_channel(self):
         with pytest.raises(KinematicsError, match="closed channel"):
             build_coplanar(2.0, 1.6, 0.5, -0.5, -0.5)

@@ -415,12 +415,12 @@ class TestPhysicalStreams:
         assert all(same_bits(x, y) for x, y in zip(amplitude_grids(cfg), (td, te, covs)))
 
     def test_plus_and_minus_180_rows_share_a_stream(self):
-        # sin(+-pi) differ by rounding, so the kinematics, and with one
-        # stream the estimates, differ only far below the Monte Carlo error
+        # -180 and +180 deg are one direction, with one stream and bitwise
+        # equal momenta, so their rows and columns hold the same bits
         td, te, covs = c3_grids(-180.0, 180.0, 90.0)
-        for grid in (td, te):
+        for grid in (td, te, covs):
             for first, last in ((grid[0], grid[-1]), (grid[:, 0], grid[:, -1])):
-                assert np.all(np.abs(first - last) <= 1e-9 * np.abs(first))
+                assert same_bits(first, last)
         assert np.all(np.sqrt(covs[0, 1:4, 0, 0]) > 1e-3 * np.abs(td[0, 1:4]))
 
 
@@ -453,20 +453,25 @@ C3_SCAN = {"model": "c3", "e0_ev": 54.4, "theta_min_deg": -150.0, "theta_max_deg
 
 
 class TestRelabelingFill:
-    # a 3C grid estimates one cell per orbit of relabeling the electrons (at
-    # equal sharing) and of the reflection x -> -x, and fills the rest
+    # a 3C grid estimates one cell per c3mc.estimate_key (relabeling the
+    # electrons at equal sharing, and the reflection x -> -x) and fills the rest
 
     def test_filled_cells_equal_independent_points(self):
-        # the +-180 rows and the theta_B = -theta_A cells included
-        for eb_ev in (None, 5.0):
-            cfg = parse_config({"model": "c3", "eb_ev": eb_ev, "theta_min_deg": -180.0,
-                                "theta_max_deg": 180.0, "step_deg": 45.0,
+        # the +-180 rows and the theta_B = -theta_A cells included, at equal
+        # sharing and at 5 eV; a grid that holds +180 but not -180; axes that differ
+        for over, axes in (
+            ({"theta_min_deg": -180.0, "step_deg": 45.0}, None),
+            ({"theta_min_deg": -180.0, "step_deg": 45.0, "eb_ev": 5.0}, None),
+            ({"theta_min_deg": -150.0, "step_deg": 30.0}, None),
+            ({}, ([-150.0, -120.0, -90.0], [-90.0, -120.0, -150.0])),
+        ):
+            cfg = parse_config({"model": "c3", "theta_max_deg": 180.0, **over,
                                 "mc": {"samples": 2000, "seed": 3}})
-            td, te, covs = amplitude_grids(cfg)
-            thetas = cfg.grid_deg()
+            theta_a, theta_b = axes or (cfg.grid_deg(), cfg.grid_deg())
+            td, te, covs = amplitude_grids(cfg, theta_a_deg=theta_a, theta_b_deg=theta_b)
             for i, j in np.ndindex(td.shape):
-                ptd, pte, pcovs = amplitude_grids(cfg, theta_a_deg=[thetas[i]],
-                                                  theta_b_deg=[thetas[j]])
+                ptd, pte, pcovs = amplitude_grids(cfg, theta_a_deg=[theta_a[i]],
+                                                  theta_b_deg=[theta_b[j]])
                 assert same_bits(ptd[0, 0], td[i, j]) and same_bits(pte[0, 0], te[i, j])
                 assert same_bits(pcovs[0, 0], covs[i, j])
 
@@ -501,19 +506,35 @@ class TestRelabelingFill:
         amplitude_grids(cfg)
         assert len(pairs) == calls
 
-    def test_different_axes_estimate_every_cell(self, monkeypatch):
+    def test_different_axes_share_relabeled_cells(self, monkeypatch):
+        # {-150, -120, -90} against its reverse: 9 cells, 3 pairs of them relabeled
         cfg = parse_config({**C3_SCAN, "mc": {"samples": 1000}})
         thetas = cfg.grid_deg()[:3]
         pairs = recording(monkeypatch, c3mc, "c3_pair")
         amplitude_grids(cfg, theta_a_deg=thetas, theta_b_deg=thetas[::-1])
-        assert len(pairs) == 9
+        assert len(pairs) == 6
 
-    def test_grid_not_closed_under_negation_is_relabeled_only(self, monkeypatch):
-        # -150 .. 180 deg is not closed under negation: relabeling alone, 12 * 13 / 2 cells
+    def test_grid_with_180_but_not_minus_180_fills_mirror_images(self, monkeypatch):
+        # -150 .. 180 deg: 12 * 13 / 2 unordered pairs, of which the reflection
+        # (180 staying 180) fixes {a, -a} for a in 30 .. 150, {0, 0},
+        # {180, 180} and {0, 180}: (78 + 8) / 2 keys
         cfg = parse_config({**C3_SCAN, "theta_max_deg": 180.0, "mc": {"samples": 1000}})
         pairs = recording(monkeypatch, c3mc, "c3_pair")
         amplitude_grids(cfg)
-        assert len(pairs) == 78
+        assert len(pairs) == 43
+
+    @pytest.mark.parametrize("eb_ev, words", [(None, 8191), (5.0, 16202)])
+    def test_default_grid_estimates_one_point_per_stream_word(self, monkeypatch, eb_ev, words):
+        # the orbit counts of test_c3mc's test_default_grid_has_no_repeated_word
+        estimated = []
+
+        def stub(kin, mc):
+            estimated.append(c3mc._stream_word(kin))
+            return c3mc.PairEstimate(0j, 0j, np.zeros((4, 4)), mc.samples, 0)
+
+        monkeypatch.setattr(c3mc, "c3_pair", stub)
+        amplitude_grids(parse_config({"model": "c3", "eb_ev": eb_ev}), workers=1)
+        assert len(estimated) == len(set(estimated)) == words
 
 
 class TestCsv:
