@@ -33,19 +33,28 @@ Mirror symmetrization: every sample is paired with its reflection
 through the plane spanned by the y axis and the bisector of the two
 outgoing momenta.  Reflecting the sample is equivalent to reflecting
 the momenta, so the pair average is evaluated by reusing each sample
-with mirrored momentum sets.  In symmetric kinematics the mirrored
-direct momentum set coincides bitwise with the exchange set, making
-t_d - t_e vanish identically, as parity requires for the even 1s
-target.  Elsewhere the pairing simply reduces the variance.
+with mirrored momentum sets.  At equal energies the reflection maps k_A
+onto k_B in real arithmetic, so the kernel takes the mirrored momenta
+as exactly k_B and k_A, not as their computed reflections (which differ
+in the last bits): the mirrored direct variant then has the exchange
+variant's Coulomb waves and e-e factor, and the other way round, with
+only the beam reflected, and a sample needs 6 1F1 table lookups (4 wave,
+2 correlation) instead of the 12 of unequal sharing.  In symmetric
+kinematics the reflected beam is the beam, so the mirrored direct
+momentum set coincides bitwise with the exchange set, making t_d - t_e
+vanish identically, as parity requires for the even 1s target.
+Elsewhere the pairing simply reduces the variance.
 
 Each block of samples is drawn, weighed and reduced.  ``_draw`` gives
-the coordinates, their radii and the density p1 p2.  The kernel from
-``_kernel`` weighs them with a table of one row per mirror variant
-(direct, mirrored direct, exchange, mirrored exchange): the beam, the
-conjugated Coulomb waves at r1 and at r2, and the e-e relative
-momentum.  ``c3_pair`` weighs a block in slices of ``_SLICE`` samples
-into one (2, n) array, counts non-finite weights as zeros and sums the
-blocks with ``math.fsum``.
+the next samples of the block's Philox stream: the coordinates, their
+radii and the density p1 p2.  The kernel from ``_kernel`` weighs them
+with a table of one row per mirror variant (direct, mirrored direct,
+exchange, mirrored exchange): the beam and the conjugated Coulomb waves
+at r1 and at r2, whose momenta give the e-e relative momentum.
+``c3_pair`` draws and weighs a block in slices of ``_SLICE`` samples,
+writes the weights into one (4, n) array of (Re t_d, Im t_d, Re t_e,
+Im t_e), counts non-finite weights as zeros and sums the blocks with
+``math.fsum``.
 
 The blocks of a point are independent, so ``c3_pair`` runs them on a
 pool of min(usable CPUs, blocks) threads (numpy releases the interpreter
@@ -55,7 +64,7 @@ the call, so no idle thread keeps its memory between points.  A block is
 computed only while it holds one of ``usable_cpus()`` process-wide
 slots, so scan workers running points at once still compute no more
 blocks than there are usable CPUs, and the working memory is bounded by
-usable CPUs times one sliced block (about 14 MiB for a full block of
+usable CPUs times one sliced block (about 11 MiB for a full block of
 65,536 samples).
 
 Every 1F1 factor has the form 1F1(i*alpha; 1; i*x) with real x >= 0, so
@@ -241,13 +250,20 @@ def _spherical(rmag, cos_t, phi):
     )
 
 
-def _draw(key: np.ndarray, block: int, n: int, r_max: float):
-    """The coordinates of one block of samples and their sampling density.
-
-    Maps the block's Philox uniforms to (r1, |r1|, r2, |r2|, p1(r1) p2(r2)).
-    """
+def _block_stream(key: np.ndarray, block: int) -> np.random.Generator:
+    """The Philox generator of one block of samples."""
     counter = np.array([0, 0, 0, block], dtype=np.uint64)  # blocks 2**192 steps apart
-    u = np.random.Generator(np.random.Philox(counter=counter, key=key)).random((n, _DRAWS))
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def _draw(stream: np.random.Generator, n: int, r_max: float):
+    """The coordinates of the next n samples of a block and their sampling density.
+
+    Maps ``stream``'s next uniforms to (r1, |r1|, r2, |r2|, p1(r1) p2(r2)).
+    Drawing a block in slices, one after another, gives the samples of
+    drawing it at once.
+    """
+    u = stream.random((n, _DRAWS))
 
     r2mag = -(np.log1p(-u[:, 0]) + np.log1p(-u[:, 1]) + np.log1p(-u[:, 2])) / _LAMBDA2
     r2 = _spherical(r2mag, 2.0 * u[:, 3] - 1.0, _TWO_PI * u[:, 4])
@@ -285,6 +301,20 @@ def _coulomb_tables(kmags, kab_mag: float, r_max: float):
     return waves, Coulomb1F1Table(-0.5 / kab_mag, 4.0 * kab_mag * r_max)
 
 
+def _distinct_rows(rows):
+    """The distinct rows, first seen first, and each row's index among them.
+
+    A row is a tuple of (momentum, |k|) pairs, compared by their bytes; the
+    index is None when every row is distinct.
+    """
+    keys = [b"".join(np.append(k, kmag).tobytes() for k, kmag in row) for row in rows]
+    first = list(dict.fromkeys(keys))
+    distinct = [rows[keys.index(key)] for key in first]
+    if len(distinct) == len(rows):
+        return distinct, None
+    return distinct, np.array([first.index(key) for key in keys])
+
+
 def _kernel(kin: Kinematics, cfg: McConfig):
     """The weight kernel of the mirror-symmetrized 3C integrand at ``kin``.
 
@@ -300,16 +330,29 @@ def _kernel(kin: Kinematics, cfg: McConfig):
 
     kmag_a = math.sqrt(float(k_a @ k_a))
     kmag_b = math.sqrt(float(k_b @ k_b))
-    # one row per mirror variant: the beam, the conjugated waves at r1 and
-    # at r2 as (momentum, |k|), and the e-e relative momentum; a mirror
-    # image keeps the |k| of its source
+    a, b = (k_a, kmag_a), (k_b, kmag_b)
+    if kin.e_a == kin.e_b:
+        # the reflection maps kA onto kB exactly in real arithmetic (not in
+        # floating point), so the mirror images are kB and kA themselves
+        ma, mb = b, a
+    else:
+        # a mirror image keeps the |k| of its source
+        ma, mb = (mk_a, kmag_a), (mk_b, kmag_b)
+    # one row per mirror variant: the beam, and the conjugated waves at r1
+    # and at r2 as (momentum, |k|); the e-e relative momentum is half the
+    # r1 wave's momentum minus the r2 wave's
     table = (
-        (k0, (k_a, kmag_a), (k_b, kmag_b), 0.5 * (k_a - k_b)),  # direct
-        (mk0, (mk_a, kmag_a), (mk_b, kmag_b), 0.5 * (mk_a - mk_b)),  # mirrored direct
-        (k0, (k_b, kmag_b), (k_a, kmag_a), 0.5 * (k_b - k_a)),  # exchange
-        (mk0, (mk_b, kmag_b), (mk_a, kmag_a), 0.5 * (mk_b - mk_a)),  # mirrored exchange
+        (k0, a, b),  # direct
+        (mk0, ma, mb),  # mirrored direct
+        (k0, b, a),  # exchange
+        (mk0, mb, ma),  # mirrored exchange
     )
-    _, at_r1, at_r2, kabs = zip(*table)
+    # each distinct pair of waves is looked up once and its rows read by
+    # ``rows``: at equal energies the mirrored rows repeat the exchange
+    # rows' waves and e-e momentum, and only their beams differ
+    waves_at, rows = _distinct_rows([row[1:] for row in table])
+    at_r1, at_r2 = zip(*waves_at)
+    kabs = [0.5 * (k1 - k2) for (k1, _), (k2, _) in waves_at]
 
     # reflection and overall sign leave |kab| the same in every row
     kab_mag = math.sqrt(float(kabs[0] @ kabs[0]))
@@ -335,24 +378,33 @@ def _kernel(kin: Kinematics, cfg: McConfig):
 
             # plane-wave phases: beam at r1 and conjugated waves at r1, r2
             g = np.exp(1j * np.stack([r1 @ k - r1 @ k1 - r2 @ k2
-                                      for k, (k1, *_), (k2, *_), _ in table]))
+                                      for k, (k1, _), (k2, _) in table]))
             if waves:
-                # the waves' 1F1 factors at |k||r| + k.r, by variant, at r1 and r2
+                # the waves' 1F1 factors at |k||r| + k.r, by distinct pair, at r1 and r2
                 f1, f2 = (np.stack([waves[kmag].evaluate(kmag * rmag + r @ k) for k, kmag in col])
                           for r, rmag, col in ((r1, r1mag, at_r1), (r2, r2mag, at_r2)))
                 # complex multiply is not bitwise commutative under FMA.  Once
                 # the (4, n) temporary reaches numpy's 256 KiB elision size
                 # (n >= 4096), numpy computes this as (f1 * f2) * g, below it
-                # as g * (f1 * f2).  Paired variants share the order either
+                # as g * (f1 * f2); the rows picked by ``rows`` are such a
+                # temporary too.  Paired variants share the order either
                 # way, so t_d == t_e stays exact; but a block must not be
                 # weighed in slices of fewer than 4,096 samples unless the
                 # block itself is that small, and rewriting the expression
                 # moves bits wherever a block's size crosses 4,096
-                g = g * (f1 * f2)
+                g = g * (f1 * f2 if rows is None else (f1 * f2)[rows])
             if corr is not None:
                 rc = kab_mag * r12mag
                 args_c = np.concatenate([rc + r12 @ kab for kab in kabs])
-                g = g * corr.evaluate(args_c).reshape(4, -1)
+                c = corr.evaluate(args_c).reshape(len(kabs), -1)
+                if rows is not None:
+                    c = c[rows]
+                # ``c`` is a named array, which numpy never elides: the
+                # order is g * c at every size.  Multiplying by a temporary
+                # built in the expression (np.stack, or the rows picked
+                # inline) would give c * g from 4,096 samples on and move
+                # the bits of unequal-sharing points
+                g = g * c
 
             inv_p = (0.5 * common) / density
             w = (g[0::2] + g[1::2]) * inv_p
@@ -397,18 +449,16 @@ def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
     def block_sums(blk):
         n = min(BLOCK_SIZE, n_total - blk * BLOCK_SIZE)
         with _cpu_slots:
-            sample = _draw(key, blk, n, r_max)
-            slices = _slices(n)
-            if len(slices) == 1:  # no copy: a (2, n) copy would raise peak memory
-                w = weigh(*sample)
-            else:
-                w = np.empty((2, n), dtype=complex)
-                for lo, hi in slices:
-                    w[:, lo:hi] = weigh(*(a[lo:hi] for a in sample))
-            finite = np.isfinite(w).all(axis=0)
+            stream = _block_stream(key, blk)
+            # rows (Re t_d, Im t_d, Re t_e, Im t_e), written slice by slice
+            x = np.empty((4, n))
+            for lo, hi in _slices(n):
+                w = weigh(*_draw(stream, hi - lo, r_max))
+                x[0::2, lo:hi] = w.real
+                x[1::2, lo:hi] = w.imag
+            finite = np.isfinite(x).all(axis=0)
             if not finite.all():
-                w = np.where(finite, w, 0.0)
-            x = np.stack([w[0].real, w[0].imag, w[1].real, w[1].imag])
+                x = np.where(finite, x, 0.0)
             return x.sum(axis=1), x @ x.T, int(np.count_nonzero(~finite))
 
     blocks = range((n_total + BLOCK_SIZE - 1) // BLOCK_SIZE)

@@ -28,6 +28,12 @@ C3_POINT = build_coplanar(54.4 / HARTREE_EV, 5.0 / HARTREE_EV, math.radians(20.0
                           math.radians(-60.0), -13.605693 / HARTREE_EV)
 
 
+# the benchmark's 3C scan: 54.4 eV equal sharing
+def c3_scan_kin(theta_a_deg, theta_b_deg):
+    e0, eb, et = parse_config({"model": "c3", "e0_ev": 54.4}).energies_hartree()
+    return build_coplanar(e0, eb, math.radians(theta_a_deg), math.radians(theta_b_deg), et)
+
+
 REAL_DRAW, REAL_KERNEL = c3mc._draw, c3mc._kernel
 
 
@@ -38,11 +44,15 @@ def poison(monkeypatch, samples, fill):
     gets unchanged in whatever slices ``c3_pair`` cuts a block; a second
     call replaces the first.
     """
-    marked = []
+    marked, drawn = [], {}  # drawn: samples drawn so far from each block's stream
 
-    def draw(key, block, n, r_max):
-        sample = REAL_DRAW(key, block, n, r_max)
-        marked.extend(sample[1][samples].tolist())
+    def draw(stream, n, r_max):
+        sample = REAL_DRAW(stream, n, r_max)
+        lo = drawn.get(stream, 0)
+        drawn[stream] = lo + n
+        in_block = np.zeros(c3mc.BLOCK_SIZE, dtype=bool)
+        in_block[samples] = True
+        marked.extend(sample[1][in_block[lo:lo + n]].tolist())
         return sample
 
     def kernel(kin, cfg):
@@ -83,7 +93,8 @@ class TestDeterminism:
         assert a.t_d == b.t_d and a.t_e == b.t_e and np.array_equal(a.cov, b.cov)
         words = [c3mc._stream_word(kin) for kin in (kin_at(40.0, -70.0), kin_at(40.0, -71.0))]
         assert words[0] != words[1]
-        draws = [c3mc._draw(np.array([9, w], dtype=np.uint64), 0, 100, 14.0)[1] for w in words]
+        draws = [c3mc._draw(c3mc._block_stream(np.array([9, w], dtype=np.uint64), 0), 100, 14.0)[1]
+                 for w in words]
         assert not np.any(draws[0] == draws[1])
 
 
@@ -156,10 +167,11 @@ class TestExchangeSymmetry:
         assert est.t_d - est.t_e == 0.0
 
     def test_symmetric_free_limit_pair_identical(self):
-        est = c3mc.c3_pair(
-            kin_at(45.0, -45.0), McConfig(samples=10_000, seed=2, debug_free_limit=True)
-        )
-        assert est.t_d - est.t_e == 0.0
+        for theta in (45.0, 20.0, 75.0, 120.0, 160.0):
+            est = c3mc.c3_pair(
+                kin_at(theta, -theta), McConfig(samples=10_000, seed=2, debug_free_limit=True)
+            )
+            assert est.t_d - est.t_e == 0.0, theta
 
     def test_asymmetric_pair_differs(self):
         est = c3mc.c3_pair(kin_at(45.0, -70.0), McConfig(samples=10_000, seed=2))
@@ -285,8 +297,9 @@ class TestIntegrandOracle:
             kin_at(20.0, -60.0, eb=0.3),  # unequal sharing: two wave xi
             kin_at(40.0, -40.0),  # symmetric
             C3_POINT,
+            c3_scan_kin(-30.0, 90.0),  # equal sharing, mirror off the x axis
         ],
-        ids=["equal", "unequal", "symmetric", "c3_point"],
+        ids=["equal", "unequal", "symmetric", "c3_point", "c3_scan"],
     )
     def test_kernel_matches_scalar_integrand(self, kin):
         cfg = McConfig()
@@ -298,7 +311,8 @@ class TestIntegrandOracle:
         r2 = r2mag[:, None] * unit_vectors(rng, n)
         w = c3mc._kernel(kin, cfg)(r1, r1mag, r2, r2mag, np.ones(n))
 
-        # (k0, kA, kB) and their reflection through the symmetrization plane
+        # (k0, kA, kB) and their reflection through the symmetrization plane,
+        # which at equal sharing the kernel takes as (k0', kB, kA) exactly
         normal = c3mc._mirror_normal(kin.k_a, kin.k_b)
         k = (kin.k0, kin.k_a, kin.k_b)
         mk = tuple(v - 2.0 * float(v @ normal) * normal for v in k)
@@ -323,16 +337,52 @@ class TestIntegrandOracle:
 
 
 
+def count_lookups(monkeypatch):
+    """Count the arguments of every ``Coulomb1F1Table.evaluate`` call."""
+    count = [0]
+    evaluate = c3mc.Coulomb1F1Table.evaluate
+
+    def counted(self, x):
+        count[0] += np.size(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", counted)
+    return count
+
+
+class TestSharedLookups:
+    # at equal sharing the mirrored rows are the exchange rows but for the
+    # beam, so a sample needs 4 wave and 2 correlation lookups, not 12
+
+    @pytest.mark.parametrize("kin, per_sample", [
+        (kin_at(45.0, -60.0), 6), (kin_at(40.0, -40.0), 6), (c3_scan_kin(-30.0, 90.0), 6),
+        (kin_at(45.0, -60.0, eb=0.5), 12), (C3_POINT, 12)],
+        ids=["equal", "symmetric", "c3_scan", "unequal", "c3_point"])
+    def test_lookups_per_sample(self, monkeypatch, kin, per_sample):
+        count = count_lookups(monkeypatch)
+        c3mc.c3_pair(kin, McConfig(samples=5_000, seed=3))
+        assert count[0] == per_sample * 5_000
+
+    @pytest.mark.parametrize("kin", [
+        c3_scan_kin(-30.0, 90.0), c3_scan_kin(150.0, 60.0), kin_at(40.0, -40.0), C3_POINT],
+        ids=["c3_scan", "c3_scan_obtuse", "symmetric", "c3_point"])
+    @pytest.mark.parametrize("n", [16_384, 4_096, 4_095])  # across numpy's elision size
+    def test_shared_lookups_change_no_bit(self, monkeypatch, kin, n):
+        # the shared rows against every row evaluated on its own
+        sample = c3mc._draw(c3mc._block_stream(np.array([4, 11], dtype=np.uint64), 0), n, 14.0)
+        shared = c3mc._kernel(kin, McConfig())(*sample)
+        monkeypatch.setattr(c3mc, "_distinct_rows", lambda rows: (list(rows), None))
+        count = count_lookups(monkeypatch)
+        every_row = c3mc._kernel(kin, McConfig())(*sample)
+        assert count[0] == 12 * n
+        assert shared.tobytes() == every_row.tobytes()
+
+
 def tables_for(kin, r_max):
     """The kernel's 1F1 tables at ``kin``: |kA|, |kB| and |kA - kB|/2."""
     kab = 0.5 * (kin.k_a - kin.k_b)
     kmags = (math.sqrt(float(kin.k_a @ kin.k_a)), math.sqrt(float(kin.k_b @ kin.k_b)))
     return c3mc._coulomb_tables(kmags, math.sqrt(float(kab @ kab)), r_max)
-
-
-def c3_scan_kin(theta_a_deg, theta_b_deg):
-    e0, eb, et = parse_config({"model": "c3", "e0_ev": 54.4}).energies_hartree()
-    return build_coplanar(e0, eb, math.radians(theta_a_deg), math.radians(theta_b_deg), et)
 
 
 TABLE_KINEMATICS = pytest.mark.parametrize(
@@ -430,15 +480,17 @@ class TestBlockPool:
 
     @pytest.mark.parametrize("n", [65_536, 40_000, 16_960, 3_392])
     def test_weighing_in_slices_changes_no_bit(self, n):
-        sample = c3mc._draw(np.array([4, 11], dtype=np.uint64), 0, n, McConfig().r_max)
+        key, r_max = np.array([4, 11], dtype=np.uint64), McConfig().r_max
         weigh = c3mc._kernel(C3_POINT, McConfig())
         slices = c3mc._slices(n)
         assert slices[0][0] == 0 and slices[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
         # numpy's operand order in the kernel changes at 4,096 samples
         assert min(hi - lo for lo, hi in slices) >= min(n, 4096)
-        whole = weigh(*sample)
-        parts = np.concatenate([weigh(*(a[lo:hi] for a in sample)) for lo, hi in slices], axis=1)
+        whole = weigh(*c3mc._draw(c3mc._block_stream(key, 0), n, r_max))
+        stream = c3mc._block_stream(key, 0)  # the slices drawn one after another
+        parts = np.concatenate([weigh(*c3mc._draw(stream, hi - lo, r_max)) for lo, hi in slices],
+                               axis=1)
         assert parts.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3, 64])
