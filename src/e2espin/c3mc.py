@@ -64,18 +64,21 @@ the call, so no idle thread keeps its memory between points.  A block is
 computed only while it holds one of ``usable_cpus()`` process-wide
 slots, so scan workers running points at once still compute no more
 blocks than there are usable CPUs, and the working memory is bounded by
-usable CPUs times one sliced block (about 11 MiB for a full block of
-65,536 samples).
+usable CPUs times one sliced block (about 7 MiB for a full block of
+65,536 samples at unequal sharing).
 
 Every 1F1 factor has the form 1F1(i*alpha; 1; i*x) with real x >= 0, so
 the kernel reads it from a ``Coulomb1F1Table``: one per distinct wave
-|k| (alpha = Z/|k|) on [0, 2|k| r_max], cached across points, and one
-for the correlation factor (alpha = -1/(2|k_ab|)) on [0, 4|k_ab| r_max],
-built per point.  These ranges hold every argument inside the r_max
-ball; the zero-weight samples outside it are clamped into the table.  A
-table value depends only on its own argument, so bitwise-equal momenta
-in the paired variants of symmetric kinematics give exactly t_d == t_e,
-however the samples are batched.
+|k| (alpha = Z/|k|) on [0, 2|k| r_max], and one for the correlation
+factor (alpha = -1/(2|k_ab|)) on [0, 4|k_ab| r_max].  ``_kab_mag`` takes
+|k_ab| from the energies and the micro-degree angle between the
+electrons, so the points of one energy sharing with one relative angle
+share a correlation table; all tables are cached across points.  These
+ranges hold every argument inside the r_max ball; the zero-weight
+samples outside it are clamped into the table.  A table value depends
+only on its own argument, so bitwise-equal momenta in the paired
+variants of symmetric kinematics give exactly t_d == t_e, however the
+samples are batched.
 
 Randomness comes from counter-based Philox streams keyed by the seed and
 a blake2b word of the physical point: e0, e_t (exact float64) and the
@@ -122,7 +125,7 @@ BLOCK_SIZE = 65536
 # samples weighed at once, the remainder of a block merged into its last
 # slice: every slice has at least 4,096 samples unless the whole block has
 # fewer (see the operand-order note in ``_kernel``)
-_SLICE = 16384
+_SLICE = 8192
 _DRAWS = 10  # uniforms consumed per sample; fixed for stream stability
 _LAMBDA1 = 1.0  # rate of the exponential projectile component
 _LAMBDA2 = 1.0
@@ -164,11 +167,18 @@ class PairEstimate:
         return math.sqrt(max(0.0, float(self.cov[3, 3])))
 
 
+_TURN = 360_000_000  # micro-degrees
+
+
+def _wrap(m: int) -> int:
+    """Integer micro-degrees wrapped into (-180, 180] degrees."""
+    m %= _TURN
+    return m - _TURN if m > _TURN // 2 else m
+
+
 def _micro_degrees(theta: float) -> int:
     """An angle in radians as integer micro-degrees in (-180, 180] degrees."""
-    turn = 360_000_000
-    m = round(math.degrees(theta) * 1e6) % turn
-    return m - turn if m > turn // 2 else m
+    return _wrap(round(math.degrees(theta) * 1e6))
 
 
 def _electrons(kin: Kinematics, sign: float) -> list[tuple[float, int]]:
@@ -280,11 +290,29 @@ def _draw(stream: np.random.Generator, n: int, r_max: float):
         return r1, r1mag, r2, r2mag, p1 * p2
 
 
-# Wave tables by exact (alpha, x_max).  Every point of one energy sharing
-# has the same wave |k|, so a scan builds each wave table once; the lock
-# keeps scan threads that miss at once from building it twice.
-_wave_table = functools.lru_cache(maxsize=64)(Coulomb1F1Table)
-_wave_lock = threading.Lock()
+# Wave and correlation tables by exact (alpha, x_max).  Every point of one
+# energy sharing has the same wave |k|, and every pair of its points with
+# the same relative angle the same |k_ab|, so a scan builds each table
+# once: 256 tables hold the 180 relative angles of a 1-degree scan.  The
+# lock keeps scan threads that miss at once from building a table twice.
+_table = functools.lru_cache(maxsize=256)(Coulomb1F1Table)
+_table_lock = threading.Lock()
+
+
+def _kab_mag(kin: Kinematics) -> float:
+    """|k_A - k_B| / 2 from the wave numbers and the micro-degree angle between them.
+
+    0.5 sqrt((|k_A| - |k_B|)^2 + 4 |k_A||k_B| sin^2(delta/2)) cancels
+    nothing, even for momenta a micro-degree apart.  |k| is sqrt(2 E), as
+    ``build_coplanar`` computes it, and delta is wrapped into (-180, 180]
+    degrees; relabeling the electrons or reflecting the point changes no
+    bit.  Zero exactly when the electrons have equal |k| and equal angles
+    in micro-degrees: coincident momenta.
+    """
+    ka, kb = math.sqrt(2.0 * kin.e_a), math.sqrt(2.0 * kin.e_b)
+    delta = _wrap(_micro_degrees(kin.theta_a) - _micro_degrees(kin.theta_b))
+    s = math.sin(math.radians(delta / 2e6))
+    return 0.5 * math.sqrt((ka - kb) * (ka - kb) + 4.0 * (ka * kb) * (s * s))
 
 
 def _coulomb_tables(kmags, kab_mag: float, r_max: float):
@@ -292,13 +320,11 @@ def _coulomb_tables(kmags, kab_mag: float, r_max: float):
 
     Each covers the arguments of the r_max ball: |k||r| + k.r <= 2|k| r_max
     for a wave, |k_ab||r12| + k_ab.r12 <= 4|k_ab| r_max with |r12| <= 2 r_max.
-    The wave tables come from a cache; the correlation table depends on
-    |k_ab|, which varies with the angles, and is built for each point.
+    All come from the table cache, the correlation table by |k_ab|.
     """
-    with _wave_lock:
-        waves = {kmag: _wave_table(1.0 / kmag, 2.0 * kmag * r_max)
-                 for kmag in dict.fromkeys(kmags)}
-    return waves, Coulomb1F1Table(-0.5 / kab_mag, 4.0 * kab_mag * r_max)
+    with _table_lock:
+        waves = {kmag: _table(1.0 / kmag, 2.0 * kmag * r_max) for kmag in dict.fromkeys(kmags)}
+        return waves, _table(-0.5 / kab_mag, 4.0 * kab_mag * r_max)
 
 
 def _distinct_rows(rows):
@@ -355,7 +381,7 @@ def _kernel(kin: Kinematics, cfg: McConfig):
     kabs = [0.5 * (k1 - k2) for (k1, _), (k2, _) in waves_at]
 
     # reflection and overall sign leave |kab| the same in every row
-    kab_mag = math.sqrt(float(kabs[0] @ kabs[0]))
+    kab_mag = _kab_mag(kin)
     if cfg.debug_free_limit:
         waves, corr = {}, None
     else:
@@ -436,8 +462,7 @@ def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
     """Estimate both 3C amplitudes on one mirror-symmetrized sample set."""
     cfg = cfg.validated()
     n_total = int(cfg.samples)
-    d_ab = kin.k_a - kin.k_b
-    if not cfg.debug_free_limit and float(d_ab @ d_ab) == 0.0:
+    if not cfg.debug_free_limit and _kab_mag(kin) == 0.0:
         # coincident outgoing momenta: the repulsive correlation factor
         # suppresses the state completely and the T matrix vanishes
         return PairEstimate(0.0 + 0.0j, 0.0 + 0.0j, np.zeros((4, 4)), n_total, 0)

@@ -29,16 +29,18 @@ has converged, so near |z| = 21 a value depends on its batch by up to
 for real x in [0, x_max]: a piecewise Chebyshev fit of degree
 ``_TABLE_DEGREE`` on segments of width at most ``_TABLE_WIDTH`` /
 max(1, |alpha|), built from one batched ``kummer_1f1`` call on twice as
-many Chebyshev nodes per segment as coefficients and evaluated by
-Clenshaw's recurrence.  Its truncation error, about 1e-11 relative, is
-far below the series noise of ``kummer_1f1``, which the projection onto
-the lower degree averages down.  So against mpmath its worst error over
-[0, x_max] is no worse than that of ``kummer_1f1`` at the same points:
-2.0e-9 against 3.6e-9 at alpha = 0.62 and 4.5e-8 against 7.5e-8 at
-alpha = 2, both at the switch radius.  Where the error of ``kummer_1f1``
-is the smooth truncation of its asymptotic sums (alpha = -2) the table
-reproduces it, and both read 2.2e-8.  A table value depends only on its
-own argument, never on its batch.
+many Chebyshev nodes per segment as coefficients, converted to the
+power basis of the segment variable t in [-1, 1] and evaluated by
+Horner's rule (within about 1e-15 relative of Clenshaw's recurrence on
+the Chebyshev coefficients).  Its truncation error, about 1e-11
+relative, is far below the series noise of ``kummer_1f1``, which the
+projection onto the lower degree averages down.  So against mpmath its
+worst error over [0, x_max] is no worse than that of ``kummer_1f1`` at
+the same points: 2.0e-9 against 3.6e-9 at alpha = 0.62 and 4.5e-8
+against 7.5e-8 at alpha = 2, both at the switch radius.  Where the error
+of ``kummer_1f1`` is the smooth truncation of its asymptotic sums
+(alpha = -2) the table reproduces it, and both read 2.2e-8.  A table
+value depends only on its own argument, never on its batch.
 
 ``z`` (``x`` for the table) may be a scalar or a numpy array in all
 functions.  Nothing here keeps mutable state, so concurrent calls are
@@ -281,14 +283,50 @@ def kummer_1f1(a, b, z, *, max_terms: int = _MAX_TERMS):
     return out.reshape(arr.shape)
 
 
+def _chebyshev_to_power(degree: int) -> np.ndarray:
+    """Row k holds the power-basis coefficients of T_k(t), up to t^degree.
+
+    Built from T_{k+1} = 2t T_k - T_{k-1}; every entry is an exact integer.
+    """
+    m = np.zeros((degree + 1, degree + 1))
+    m[0, 0] = 1.0
+    m[1, 1] = 1.0
+    for k in range(1, degree):
+        m[k + 1, 1:] = 2.0 * m[k, :-1]
+        m[k + 1] -= m[k - 1]
+    return m
+
+
+_CHEBYSHEV_TO_POWER = _chebyshev_to_power(_TABLE_DEGREE)
+
+
+def _chebyshev_segments(alpha: float, x_max: float) -> tuple[int, np.ndarray]:
+    """The segments of ``Coulomb1F1Table(alpha, x_max)`` and their Chebyshev coefficients.
+
+    Returns the segment count and an (n_seg, degree + 1) complex array:
+    row s holds c_0 .. c_degree of sum_k c_k T_k(t) on segment s, with
+    t in [-1, 1] across it.
+    """
+    n_seg = math.ceil(x_max * max(1.0, abs(alpha)) / _TABLE_WIDTH)
+    m = 2 * (_TABLE_DEGREE + 1)
+    theta = math.pi * (np.arange(m) + 0.5) / m
+    left = np.arange(n_seg) * (x_max / n_seg)
+    x = left[:, None] + (0.5 * x_max / n_seg) * (1.0 + np.cos(theta))
+    f = kummer_1f1(complex(0.0, alpha), 1.0, 1j * x.ravel()).reshape(n_seg, m)
+    coef = (2.0 / m) * (f @ np.cos(np.outer(np.arange(_TABLE_DEGREE + 1), theta)).T)
+    coef[:, 0] *= 0.5
+    return n_seg, coef
+
+
 class Coulomb1F1Table:
-    """x -> 1F1(i*alpha; 1; i*x) on [0, x_max] as a piecewise Chebyshev table.
+    """x -> 1F1(i*alpha; 1; i*x) on [0, x_max] as a piecewise polynomial table.
 
     The segments have width at most ``_TABLE_WIDTH`` / max(1, |alpha|):
     the function oscillates with unit frequency far out and varies on the
-    scale 1/|alpha| near x = 0.  Each segment's coefficients are the
+    scale 1/|alpha| near x = 0.  Each segment's polynomial is the
     Chebyshev projection of ``kummer_1f1`` values at 2 (degree + 1)
-    first-kind nodes, all computed in one batched call.  The table is
+    first-kind nodes, all computed in one batched call, and is stored in
+    the power basis of t in [-1, 1] for Horner's rule.  The table is
     read-only after construction, so threads may share it.
     """
 
@@ -301,17 +339,11 @@ class Coulomb1F1Table:
             raise ValueError(f"Coulomb1F1Table requires finite x_max > 0, got {x_max}")
         self.alpha = alpha
         self.x_max = x_max
-        n_seg = math.ceil(x_max * max(1.0, abs(alpha)) / _TABLE_WIDTH)
+        n_seg, cheb = _chebyshev_segments(alpha, x_max)
         self._n_seg = n_seg
         self._inv_width = n_seg / x_max
-        m = 2 * (_TABLE_DEGREE + 1)
-        theta = math.pi * (np.arange(m) + 0.5) / m
-        left = np.arange(n_seg) * (x_max / n_seg)
-        x = left[:, None] + (0.5 * x_max / n_seg) * (1.0 + np.cos(theta))
-        f = kummer_1f1(complex(0.0, alpha), 1.0, 1j * x.ravel()).reshape(n_seg, m)
-        coef = (2.0 / m) * (f @ np.cos(np.outer(np.arange(_TABLE_DEGREE + 1), theta)).T)
-        coef[:, 0] *= 0.5
-        # (degree, re/im, segment): one gather per Clenshaw step
+        coef = cheb @ _CHEBYSHEV_TO_POWER
+        # (power, re/im, segment): one gather per Horner step
         self._coef = np.ascontiguousarray(np.stack([coef.real.T, coef.imag.T], axis=1))
 
     def evaluate(self, x) -> np.ndarray:
@@ -331,27 +363,18 @@ class Coulomb1F1Table:
             with np.errstate(invalid="ignore"):  # NaN: any segment, NaN value
                 seg = u.astype(np.intp)
             np.minimum(seg, self._n_seg - 1, out=seg)
-            # 2t, with t in [-1, 1] the position inside the segment
+            # t in [-1, 1], the position inside the segment
             u -= seg
-            u *= 4.0
-            u -= 2.0
-            # Clenshaw: b_k = c_k + 2t b_{k+1} - b_{k+2}, real and imaginary
-            # parts as the two rows
-            b1 = np.take(coef[_TABLE_DEGREE], seg, axis=1, mode="clip")
-            b2 = np.zeros_like(b1)
-            ck = np.empty_like(b1)
-            for k in range(_TABLE_DEGREE - 1, 0, -1):
+            u *= 2.0
+            u -= 1.0
+            # Horner: b = b t + c_k, real and imaginary parts as the two rows
+            b = np.take(coef[_TABLE_DEGREE], seg, axis=1, mode="clip")
+            ck = np.empty_like(b)
+            for k in range(_TABLE_DEGREE - 1, -1, -1):
+                b *= u
                 np.take(coef[k], seg, axis=1, mode="clip", out=ck)
-                ck -= b2
-                np.multiply(u, b1, out=b2)
-                b2 += ck
-                b1, b2 = b2, b1
-            u *= 0.5
-            np.take(coef[0], seg, axis=1, mode="clip", out=ck)
-            ck -= b2
-            np.multiply(u, b1, out=b2)
-            b2 += ck
-            parts[start:start + _TABLE_CHUNK] = b2.T
+                b += ck
+            parts[start:start + _TABLE_CHUNK] = b.T
         return out.reshape(np.shape(x))
 
 

@@ -4,7 +4,8 @@ Each is an independent route to a quantity the package computes another
 way: spinor expectation values, Bell-basis amplitudes of the pair state,
 the pure-state concurrence from the reduced purity, the hydrogen 1s wave
 function in position and momentum space, and the scalar Coulomb wave and
-electron-electron correlation factor that make up the 3C integrand.
+electron-electron correlation factor that make up the 3C integrand, and
+a Clenshaw evaluation of a ``Coulomb1F1Table``'s Chebyshev fit.
 ``hydrogen_1s_momentum`` evaluates the package's own ``_phi_1s_q2``, so
 its normalization tests check the formula that ``pwba`` uses.
 """
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from e2espin.amplitudes import _phi_1s_q2
-from e2espin.special import coulomb_norm, kummer_1f1
+from e2espin.special import _chebyshev_segments, coulomb_norm, kummer_1f1
 from e2espin.spin import AmplitudePair
 
 
@@ -116,3 +117,19 @@ def ee_correlation(k_ab, r12) -> complex:
     dot = float(k @ r)
     rmag = float(np.linalg.norm(r))
     return coulomb_norm(xi) * kummer_1f1(1j * xi, 1.0, -1j * (kmag * rmag + dot))
+
+
+def clenshaw_table(table, x) -> np.ndarray:
+    """``table``'s Chebyshev fit at real x, by Clenshaw's recurrence.
+
+    Refits the table's segments and sums sum_k c_k T_k(t) in complex
+    arithmetic, on the segment and t that ``table.evaluate`` uses.
+    """
+    n_seg, cheb = _chebyshev_segments(table.alpha, table.x_max)
+    u = np.clip(np.asarray(x, dtype=float), 0.0, table.x_max) * (n_seg / table.x_max)
+    seg = np.minimum(u.astype(np.intp), n_seg - 1)
+    t = 2.0 * (u - seg) - 1.0
+    b1 = b2 = np.zeros(u.shape, dtype=complex)
+    for k in range(cheb.shape[1] - 1, 0, -1):
+        b1, b2 = cheb[seg, k] + 2.0 * t * b1 - b2, b1
+    return cheb[seg, 0] + t * b1 - b2

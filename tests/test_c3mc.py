@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -220,6 +221,16 @@ class TestEdgeCases:
         est = c3mc.c3_pair(kin_at(30.0, 30.0), McConfig(samples=5_000, seed=1))
         assert est.t_d == 0.0 and est.t_e == 0.0
         assert est.stderr_d_re == 0.0
+
+    @pytest.mark.parametrize("offset", [1e-7, 1e-3])
+    def test_nearly_coincident_momenta_vanish(self, offset):
+        # 1e-7 deg rounds to the same micro-degree, |k_ab| = 0: the zero
+        # estimate; at 1e-3 deg the Gamow factor of |k_ab| ~ 1e-5 underflows
+        kin = c3_scan_kin(10.0, 10.0 + offset)
+        assert (c3mc._kab_mag(kin) == 0.0) == (offset < 5e-7)
+        est = c3mc.c3_pair(kin, McConfig(samples=5_000, seed=1))
+        assert est.t_d == 0.0 and est.t_e == 0.0
+        assert np.all(est.cov == 0.0) and est.n_rejected == 0
 
     def test_sample_budget_enforced(self):
         with pytest.raises(ValueError):
@@ -444,15 +455,54 @@ class TestCoulombTables:
         sigma = np.sqrt(np.diag(table.cov))
         assert np.all(np.abs(diff) <= 1e-3 * sigma)
 
-    def test_cached_wave_tables_change_no_bit(self):
+    def test_cached_tables_change_no_bit(self):
         cfg = McConfig(samples=20_000, seed=12)
-        c3mc._wave_table.cache_clear()
+        c3mc._table.cache_clear()
         cold = c3mc.c3_pair(C3_POINT, cfg)
-        assert c3mc._wave_table.cache_info().currsize == 2  # unequal sharing: two |k|
+        # unequal sharing: two wave |k| and the correlation table
+        assert c3mc._table.cache_info().currsize == 3
         warm = c3mc.c3_pair(C3_POINT, cfg)
-        assert c3mc._wave_table.cache_info().hits == 2
+        assert c3mc._table.cache_info().hits == 3
         assert cold.t_d == warm.t_d and cold.t_e == warm.t_e
         assert cold.cov.tobytes() == warm.cov.tobytes()
+
+    @pytest.mark.parametrize("kins, waves", [
+        ([c3_scan_kin(-150.0, -120.0), c3_scan_kin(30.0, 60.0)], 1),
+        ([kin_at(20.0, -60.0, 0.3), kin_at(-50.0, -130.0, 0.3), kin_at(170.0, 90.0, 0.3)], 2)],
+        ids=["equal", "unequal"])
+    def test_one_correlation_table_per_relative_angle(self, kins, waves):
+        c3mc._table.cache_clear()
+        for kin in kins:
+            c3mc.c3_pair(kin, McConfig(samples=2_000, seed=12))
+        info = c3mc._table.cache_info()
+        assert info.currsize == waves + 1
+        assert info.hits == (waves + 1) * (len(kins) - 1)
+
+    @pytest.mark.parametrize("eb_ev, theta_a, theta_b", [
+        (None, 10.0, 10.000001),  # one micro-degree apart
+        (None, 90.0, -89.999),  # 179.999 deg apart
+        (None, 179.9999, -179.9999),  # 0.0002 deg apart across the +-180 wrap
+        (None, 170.0, -170.0),
+        (5.0, 20.0, -60.0),
+        (5.0, 10.0, 10.000001),
+        (5.0, -180.0, 180.0)])
+    def test_kab_mag_matches_the_vectors(self, eb_ev, theta_a, theta_b):
+        # |k_A - k_B| / 2 from the momenta at 40 digits
+        e0, eb, et = parse_config({"model": "c3", "e0_ev": 54.4, "eb_ev": eb_ev}).energies_hartree()
+        kin = build_coplanar(e0, eb, math.radians(theta_a), math.radians(theta_b), et)
+        with mpmath.workdps(40):
+            def k(e, theta_deg):
+                kmag, theta = mpmath.sqrt(2 * mpmath.mpf(e)), mpmath.radians(mpmath.mpf(theta_deg))
+                return kmag * mpmath.sin(theta), kmag * mpmath.cos(theta)
+            (xa, za), (xb, zb) = k(kin.e_a, repr(theta_a)), k(kin.e_b, repr(theta_b))
+            exact = float(mpmath.sqrt((xa - xb) ** 2 + (za - zb) ** 2) / 2)
+        assert abs(c3mc._kab_mag(kin) - exact) <= 1e-13 * exact
+        # the relabeled and mirrored points give the same bits
+        relabeled = build_coplanar(e0, kin.e_a, kin.theta_b, kin.theta_a, et)
+        mirrored = build_coplanar(e0, eb, -kin.theta_a, -kin.theta_b, et)
+        if kin.e_a == kin.e_b:
+            assert c3mc._kab_mag(relabeled) == c3mc._kab_mag(kin)
+        assert c3mc._kab_mag(mirrored) == c3mc._kab_mag(kin)
 
 
 @pytest.fixture
@@ -466,7 +516,7 @@ def cpus(monkeypatch):
 
 class TestBlockPool:
     # last blocks of 3,392 (one slice under 4,096 samples), 4,464 (one
-    # slice) and 16,960 samples (16,384 plus the remainder)
+    # slice) and 16,960 samples (8,192 plus the remainder)
     @pytest.mark.parametrize("samples", [200_000, 70_000, 1_000_000])
     def test_pool_width_changes_no_bit(self, cpus, samples):
         cfg = McConfig(samples=samples, seed=4)
@@ -634,12 +684,19 @@ class TestReflection:
         assert same_estimate(x, relabeled)
 
     def test_canonical_point_keeps_its_bits(self):
-        # the benchmark's c3_point config: its word and estimate are those it
-        # had before mirror images shared a stream
+        # the benchmark's c3_point config: its word is the one it had before
+        # mirror images shared a stream
+        assert c3mc._stream_word(C3_POINT) == 7397496058057166766
         est = c3mc.c3_pair(C3_POINT, McConfig(samples=1_000_000, seed=0))
         assert [x.hex() for x in (est.t_d.real, est.t_d.imag, est.t_e.real, est.t_e.imag)] == [
             "-0x1.355aa42d44cb2p+6", "-0x1.11ceb478e022ep+6",
-            "-0x1.878dc225202d5p+3", "-0x1.d8352a9783d5ep+1"]
+            "-0x1.878dc225202d7p+3", "-0x1.d8352a9783d60p+1"]
         assert hashlib.blake2b(est.cov.tobytes(), digest_size=16).hexdigest() == (
-            "1a77c6d32ce76d209b7cb370ee7b76fd")
+            "a1b348b4c078b62d42c13a8d2bddd0a7")
         assert est.n_rejected == 0
+        # the estimate before the tables were evaluated by Horner's rule: the
+        # change is rounding
+        before = [float.fromhex(h) for h in ("-0x1.355aa42d44cb2p+6", "-0x1.11ceb478e022ep+6",
+                                             "-0x1.878dc225202d5p+3", "-0x1.d8352a9783d5ep+1")]
+        for t, (re, im) in ((est.t_d, before[:2]), (est.t_e, before[2:])):
+            assert abs(t - complex(re, im)) <= 1e-13 * abs(complex(re, im))

@@ -475,11 +475,11 @@ class TestRelabelingFill:
                 assert same_bits(ptd[0, 0], td[i, j]) and same_bits(pte[0, 0], te[i, j])
                 assert same_bits(pcovs[0, 0], covs[i, j])
 
-    def test_c3_scan_estimates_half_and_builds_one_wave_table(self, monkeypatch):
+    def test_c3_scan_estimates_half_and_builds_a_table_per_relative_angle(self, monkeypatch):
         pairs = recording(monkeypatch, c3mc, "c3_pair")
         # the pause makes both scan threads miss the empty cache at once
         kummer = recording(monkeypatch, special, "kummer_1f1", pause=0.01)
-        c3mc._wave_table.cache_clear()
+        c3mc._table.cache_clear()
         amplitude_grids(parse_config(C3_SCAN), workers=2)
         # (121 + 11 + 1 + 11) / 4 orbits of relabeling and reflection, the
         # 6 orbits of the coincident diagonal included
@@ -487,8 +487,9 @@ class TestRelabelingFill:
         computed = sum(float((kin.k_a - kin.k_b) @ (kin.k_a - kin.k_b)) > 0.0
                        for kin, _ in pairs)
         assert computed == 30
-        # a correlation table per computed point, one wave table for them all
-        assert len(kummer) <= computed + 1
+        # one wave table for them all, and a correlation table for each of
+        # the relative angles 30, 60, ..., 180 degrees
+        assert len(kummer) == 7
 
     @pytest.mark.parametrize("over, calls", [
         ({"eb_ev": 20.3971535}, 36),  # half of e0 + E_T, in binary too

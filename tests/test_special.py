@@ -15,6 +15,8 @@ from e2espin.special import (
     ln_gamma,
 )
 
+from oracles import clenshaw_table
+
 
 def reference_1f1(a, b, z, terms=200):
     """Independent truncated-series oracle for small |z| (plain Python)."""
@@ -151,19 +153,22 @@ class TestKummer1F1:
             kummer_1f1(0.5j, 1.0, 15.0j, max_terms=5)
 
 
+TABLES = pytest.mark.parametrize(
+    "alpha, x_max",
+    [
+        (1 / 1.622, 45.4),  # c3_point waves (fast and slow) and correlation factor
+        (1 / 0.606, 17.0),
+        (-0.614, 45.6),
+        (0.816, 34.3),  # 54.4 eV equal-sharing wave
+        (1.291, 21.7),  # the unequal-sharing oracle kinematics
+        (-0.515, 54.4),
+        (2.0, 30.0),
+    ],
+)
+
+
 class TestCoulomb1F1Table:
-    @pytest.mark.parametrize(
-        "alpha, x_max",
-        [
-            (1 / 1.622, 45.4),  # c3_point waves (fast and slow) and correlation factor
-            (1 / 0.606, 17.0),
-            (-0.614, 45.6),
-            (0.816, 34.3),  # 54.4 eV equal-sharing wave
-            (1.291, 21.7),  # the unequal-sharing oracle kinematics
-            (-0.515, 54.4),
-            (2.0, 30.0),
-        ],
-    )
+    @TABLES
     def test_no_worse_than_kummer_against_mpmath(self, alpha, x_max):
         # the worst errors of both sit in the band around the series /
         # asymptotic switch at |z| = 21, so half the points go there
@@ -175,6 +180,16 @@ class TestCoulomb1F1Table:
         err_kummer = np.abs(kummer_1f1(1j * alpha, 1.0, 1j * x) - exact) / np.abs(exact)
         err_table = np.abs(Coulomb1F1Table(alpha, x_max).evaluate(x) - exact) / np.abs(exact)
         assert err_table.max() <= err_kummer.max()
+
+    @TABLES
+    def test_horner_matches_clenshaw(self, alpha, x_max):
+        # the power basis against the Chebyshev recurrence on the same fit,
+        # segment ends and the clamped ends included
+        table = Coulomb1F1Table(alpha, x_max)
+        x = np.concatenate([np.random.default_rng(19).uniform(0.0, x_max, 20_000),
+                            np.arange(table._n_seg + 1) / table._inv_width, [-1.0, 2.0 * x_max]])
+        exact = clenshaw_table(table, x)
+        assert np.all(np.abs(table.evaluate(x) - exact) <= 1e-14 * np.abs(exact))
 
     def test_values_do_not_depend_on_the_batch(self):
         # kummer_1f1's series stops on its whole batch; the table is elementwise
