@@ -68,17 +68,21 @@ usable CPUs times one sliced block (about 7 MiB for a full block of
 65,536 samples at unequal sharing).
 
 Every 1F1 factor has the form 1F1(i*alpha; 1; i*x) with real x >= 0, so
-the kernel reads it from a ``Coulomb1F1Table``: one per distinct wave
-|k| (alpha = Z/|k|) on [0, 2|k| r_max], and one for the correlation
-factor (alpha = -1/(2|k_ab|)) on [0, 4|k_ab| r_max].  ``_kab_mag`` takes
-|k_ab| from the energies and the micro-degree angle between the
-electrons, so the points of one energy sharing with one relative angle
-share a correlation table; all tables are cached across points.  These
-ranges hold every argument inside the r_max ball; the zero-weight
-samples outside it are clamped into the table.  A table value depends
-only on its own argument, so bitwise-equal momenta in the paired
-variants of symmetric kinematics give exactly t_d == t_e, however the
-samples are batched.
+the kernel reads it from a ``Coulomb1F1Table``: one per wave number
+(alpha = Z/|k|) on [0, 2|k| r_max], and one for the correlation factor
+(alpha = -1/(2|k_ab|)) on [0, 4|k_ab| r_max].  The kernel takes every
+|k| as sqrt(2 E) (``_wave_numbers``), and ``_kab_mag`` takes |k_ab| from
+those and the micro-degree angle between the electrons, so all points
+of one energy share a wave table and those of one energy sharing with
+one relative angle a correlation table; all tables are cached across
+points.  A slice reads each table in one call.  These ranges hold every
+argument inside the r_max ball; the zero-weight samples outside it are
+clamped into the table.  A table value depends only on its own
+argument, and the kernel multiplies the factors of a sample in one
+order, ((1F1 waves) (plane waves)) (e-e factor), so a weight depends
+only on its sample and the point, not on how many samples are weighed
+at once, and bitwise-equal momenta in the paired variants of symmetric
+kinematics give exactly t_d == t_e.
 
 Randomness comes from counter-based Philox streams keyed by the seed and
 a blake2b word of the physical point: e0, e_t (exact float64) and the
@@ -122,10 +126,7 @@ from .special import kummer_1f1  # noqa: F401
 __all__ = ["PairEstimate", "c3_pair", "estimate_key", "usable_cpus", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 65536
-# samples weighed at once, the remainder of a block merged into its last
-# slice: every slice has at least 4,096 samples unless the whole block has
-# fewer (see the operand-order note in ``_kernel``)
-_SLICE = 8192
+_SLICE = 8192  # samples weighed at once; no weight depends on it
 _DRAWS = 10  # uniforms consumed per sample; fixed for stream stability
 _LAMBDA1 = 1.0  # rate of the exponential projectile component
 _LAMBDA2 = 1.0
@@ -187,22 +188,15 @@ def _electrons(kin: Kinematics, sign: float) -> list[tuple[float, int]]:
                    (kin.e_b, _micro_degrees(sign * kin.theta_b))])
 
 
-def _is_mirrored(kin: Kinematics) -> bool:
-    """Whether ``kin``'s mirror image has the smaller ``_electrons``.
-
-    The reflection x -> -x negates both angles (180 degrees stays 180)
-    and keeps the T matrix; the member of a point and its image with the
-    smaller ``_electrons`` is the one ``c3_pair`` estimates.
-    """
-    return _electrons(kin, -1.0) < _electrons(kin, 1.0)
-
-
 def _canonical(kin: Kinematics) -> Kinematics:
     """The kinematics ``c3_pair`` estimates at ``kin``: ``kin`` or its mirror image.
 
-    The image's momenta are the exact x-negations of ``kin``'s.
+    The reflection x -> -x negates both angles (180 degrees stays 180)
+    and keeps the T matrix; of a point and its image, ``c3_pair``
+    estimates the one with the smaller ``_electrons``.  The image's
+    momenta are the exact x-negations of ``kin``'s.
     """
-    if _is_mirrored(kin):
+    if _electrons(kin, -1.0) < _electrons(kin, 1.0):
         return build_coplanar(kin.e0, kin.e_b, -kin.theta_a, -kin.theta_b, kin.e_t)
     return kin
 
@@ -224,14 +218,27 @@ def estimate_key(kin: Kinematics) -> tuple[tuple, bool]:
 
 
 def _stream_word(kin: Kinematics) -> int:
-    """The 64-bit Philox key word of ``kin``'s physical point up to reflection (not salted)."""
-    electrons = _electrons(kin, -1.0 if _is_mirrored(kin) else 1.0)
+    """The 64-bit Philox key word of the canonical kinematics ``kin`` (not salted).
+
+    ``kin`` is a ``_canonical`` point, so the word names its physical
+    point up to reflection.
+    """
     data = struct.pack("<2d", kin.e0, kin.e_t) + b"".join(
-        struct.pack("<dq", e, m) for e, m in electrons)
+        struct.pack("<dq", e, m) for e, m in _electrons(kin, 1.0))
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
-def _mirror_normal(k_a: np.ndarray, k_b: np.ndarray) -> np.ndarray:
+def _wave_numbers(kin: Kinematics) -> tuple[float, float]:
+    """|k_A| and |k_B| as sqrt(2 E), as ``build_coplanar`` computes them.
+
+    The one |k| of the kernel, its tables and its mirror plane: the norm
+    of a momentum vector can differ from it in the last bit, and differs
+    between angles of one energy.
+    """
+    return math.sqrt(2.0 * kin.e_a), math.sqrt(2.0 * kin.e_b)
+
+
+def _mirror_normal(kin: Kinematics) -> np.ndarray:
     """Unit normal of the symmetrization plane (beam + bisector of kA, kB).
 
     Components that vanish to rounding are snapped to exact zeros so the
@@ -239,9 +246,8 @@ def _mirror_normal(k_a: np.ndarray, k_b: np.ndarray) -> np.ndarray:
     with an isotropic sampling density leaves the estimator unbiased, so
     the snap costs nothing.
     """
-    ma = math.sqrt(float(k_a @ k_a))
-    mb = math.sqrt(float(k_b @ k_b))
-    d = k_a / ma - k_b / mb
+    ka, kb = _wave_numbers(kin)
+    d = kin.k_a / ka - kin.k_b / kb
     nn = math.sqrt(float(d @ d))
     if nn < 1e-12:
         return np.array([0.0, 1.0, 0.0])  # parallel momenta: reflection is trivial
@@ -303,13 +309,13 @@ def _kab_mag(kin: Kinematics) -> float:
     """|k_A - k_B| / 2 from the wave numbers and the micro-degree angle between them.
 
     0.5 sqrt((|k_A| - |k_B|)^2 + 4 |k_A||k_B| sin^2(delta/2)) cancels
-    nothing, even for momenta a micro-degree apart.  |k| is sqrt(2 E), as
-    ``build_coplanar`` computes it, and delta is wrapped into (-180, 180]
-    degrees; relabeling the electrons or reflecting the point changes no
-    bit.  Zero exactly when the electrons have equal |k| and equal angles
-    in micro-degrees: coincident momenta.
+    nothing, even for momenta a micro-degree apart.  |k| is
+    ``_wave_numbers``, and delta is wrapped into (-180, 180] degrees;
+    relabeling the electrons or reflecting the point changes no bit.
+    Zero exactly when the electrons have equal |k| and equal angles in
+    micro-degrees: coincident momenta.
     """
-    ka, kb = math.sqrt(2.0 * kin.e_a), math.sqrt(2.0 * kin.e_b)
+    ka, kb = _wave_numbers(kin)
     delta = _wrap(_micro_degrees(kin.theta_a) - _micro_degrees(kin.theta_b))
     s = math.sin(math.radians(delta / 2e6))
     return 0.5 * math.sqrt((ka - kb) * (ka - kb) + 4.0 * (ka * kb) * (s * s))
@@ -351,11 +357,10 @@ def _kernel(kin: Kinematics, cfg: McConfig):
     r_max = float(cfg.r_max)
     z_eff = 0.0 if cfg.debug_free_limit else 1.0  # Z = 0 leaves plane waves
     k0, k_a, k_b = kin.k0, kin.k_a, kin.k_b
-    n_hat = _mirror_normal(k_a, k_b)
+    n_hat = _mirror_normal(kin)
     mk0, mk_a, mk_b = (k - (2.0 * float(k @ n_hat)) * n_hat for k in (k0, k_a, k_b))
 
-    kmag_a = math.sqrt(float(k_a @ k_a))
-    kmag_b = math.sqrt(float(k_b @ k_b))
+    kmag_a, kmag_b = _wave_numbers(kin)
     a, b = (k_a, kmag_a), (k_b, kmag_b)
     if kin.e_a == kin.e_b:
         # the reflection maps kA onto kB exactly in real arithmetic (not in
@@ -377,7 +382,9 @@ def _kernel(kin: Kinematics, cfg: McConfig):
     # ``rows``: at equal energies the mirrored rows repeat the exchange
     # rows' waves and e-e momentum, and only their beams differ
     waves_at, rows = _distinct_rows([row[1:] for row in table])
-    at_r1, at_r2 = zip(*waves_at)
+    m = len(waves_at)
+    # the wave lookups, (0 at r1 or 1 at r2, momentum, |k|), at r1 first
+    lookups = [(i, k, kmag) for i, col in enumerate(zip(*waves_at)) for k, kmag in col]
     kabs = [0.5 * (k1 - k2) for (k1, _), (k2, _) in waves_at]
 
     # reflection and overall sign leave |kab| the same in every row
@@ -386,6 +393,9 @@ def _kernel(kin: Kinematics, cfg: McConfig):
         waves, corr = {}, None
     else:
         waves, corr = _coulomb_tables((kmag_a, kmag_b), kab_mag, r_max)
+    # the indices of each wave table's lookups: one call per table and slice
+    by_table = [(tab, [j for j, (_, _, kmag) in enumerate(lookups) if kmag == key])
+                for key, tab in waves.items()]
 
     # conjugated normalization factors; one overall scalar for all rows
     scale = np.conj(coulomb_norm(-z_eff / kmag_a)) * np.conj(coulomb_norm(-z_eff / kmag_b))
@@ -405,32 +415,25 @@ def _kernel(kin: Kinematics, cfg: McConfig):
             # plane-wave phases: beam at r1 and conjugated waves at r1, r2
             g = np.exp(1j * np.stack([r1 @ k - r1 @ k1 - r2 @ k2
                                       for k, (k1, _), (k2, _) in table]))
-            if waves:
-                # the waves' 1F1 factors at |k||r| + k.r, by distinct pair, at r1 and r2
-                f1, f2 = (np.stack([waves[kmag].evaluate(kmag * rmag + r @ k) for k, kmag in col])
-                          for r, rmag, col in ((r1, r1mag, at_r1), (r2, r2mag, at_r2)))
-                # complex multiply is not bitwise commutative under FMA.  Once
-                # the (4, n) temporary reaches numpy's 256 KiB elision size
-                # (n >= 4096), numpy computes this as (f1 * f2) * g, below it
-                # as g * (f1 * f2); the rows picked by ``rows`` are such a
-                # temporary too.  Paired variants share the order either
-                # way, so t_d == t_e stays exact; but a block must not be
-                # weighed in slices of fewer than 4,096 samples unless the
-                # block itself is that small, and rewriting the expression
-                # moves bits wherever a block's size crosses 4,096
-                g = g * (f1 * f2 if rows is None else (f1 * f2)[rows])
             if corr is not None:
+                # the waves' 1F1 factors at |k||r| + k.r, by distinct pair, at r1 and r2
+                at = ((r1, r1mag), (r2, r2mag))
+                x = np.stack([kmag * at[i][1] + at[i][0] @ k for i, k, kmag in lookups])
+                f_waves = np.empty(x.shape, dtype=complex)
+                for tab, js in by_table:
+                    f_waves[js] = tab.evaluate(x[js])
                 rc = kab_mag * r12mag
                 args_c = np.concatenate([rc + r12 @ kab for kab in kabs])
-                c = corr.evaluate(args_c).reshape(len(kabs), -1)
+                c = corr.evaluate(args_c).reshape(m, -1)
+                f = f_waves[:m] * f_waves[m:]
                 if rows is not None:
-                    c = c[rows]
-                # ``c`` is a named array, which numpy never elides: the
-                # order is g * c at every size.  Multiplying by a temporary
-                # built in the expression (np.stack, or the rows picked
-                # inline) would give c * g from 4,096 samples on and move
-                # the bits of unequal-sharing points
-                g = g * c
+                    f, c = f[rows], c[rows]
+                # complex multiply is not bitwise commutative, so the factors
+                # are multiplied in place in one order, ((waves at r1 * waves
+                # at r2) * g) * c: a weight is the same in a slice of any size
+                f *= g
+                f *= c
+                g = f
 
             inv_p = (0.5 * common) / density
             w = (g[0::2] + g[1::2]) * inv_p
@@ -438,12 +441,6 @@ def _kernel(kin: Kinematics, cfg: McConfig):
         return np.where(inball, w, 0.0)
 
     return weigh
-
-
-def _slices(n: int) -> list[tuple[int, int]]:
-    """The (start, stop) slices of an n-sample block, the remainder in the last."""
-    m = max(1, n // _SLICE)
-    return [(i * _SLICE, n if i == m - 1 else (i + 1) * _SLICE) for i in range(m)]
 
 
 def usable_cpus() -> int:
@@ -477,10 +474,10 @@ def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
             stream = _block_stream(key, blk)
             # rows (Re t_d, Im t_d, Re t_e, Im t_e), written slice by slice
             x = np.empty((4, n))
-            for lo, hi in _slices(n):
-                w = weigh(*_draw(stream, hi - lo, r_max))
-                x[0::2, lo:hi] = w.real
-                x[1::2, lo:hi] = w.imag
+            for lo in range(0, n, _SLICE):
+                w = weigh(*_draw(stream, min(_SLICE, n - lo), r_max))
+                x[0::2, lo:lo + _SLICE] = w.real
+                x[1::2, lo:lo + _SLICE] = w.imag
             finite = np.isfinite(x).all(axis=0)
             if not finite.all():
                 x = np.where(finite, x, 0.0)

@@ -92,7 +92,8 @@ class TestDeterminism:
         a = c3mc.c3_pair(kin_at(40.0, -70.0), cfg)
         b = c3mc.c3_pair(kin_at(40.0, -70.0), cfg)
         assert a.t_d == b.t_d and a.t_e == b.t_e and np.array_equal(a.cov, b.cov)
-        words = [c3mc._stream_word(kin) for kin in (kin_at(40.0, -70.0), kin_at(40.0, -71.0))]
+        words = [c3mc._stream_word(c3mc._canonical(kin))
+                 for kin in (kin_at(40.0, -70.0), kin_at(40.0, -71.0))]
         assert words[0] != words[1]
         draws = [c3mc._draw(c3mc._block_stream(np.array([9, w], dtype=np.uint64), 0), 100, 14.0)[1]
                  for w in words]
@@ -100,8 +101,8 @@ class TestDeterminism:
 
 
 def stream_word(e0, eb, theta_a_deg, theta_b_deg, et=ET):
-    return c3mc._stream_word(
-        build_coplanar(e0, eb, math.radians(theta_a_deg), math.radians(theta_b_deg), et))
+    return c3mc._stream_word(c3mc._canonical(
+        build_coplanar(e0, eb, math.radians(theta_a_deg), math.radians(theta_b_deg), et)))
 
 
 class TestStreamKey:
@@ -116,7 +117,7 @@ class TestStreamKey:
         # an angle off by its last bit is the same point; one micro-degree is not
         theta_a = math.nextafter(math.radians(30.0), 1.0)
         kin = build_coplanar(E0, EB, theta_a, math.radians(-60.0), ET)
-        assert c3mc._stream_word(kin) == stream_word(E0, EB, 30.0, -60.0)
+        assert c3mc._stream_word(c3mc._canonical(kin)) == stream_word(E0, EB, 30.0, -60.0)
         assert stream_word(E0, EB, 30.0, -60.0) != stream_word(E0, EB, 30.000001, -60.0)
 
     def test_energies_change_the_word(self):
@@ -131,7 +132,7 @@ class TestStreamKey:
         assert stream_word(E0, EB, 180.0, 40.0) == stream_word(E0, EB, -180.0, -40.0)
         assert stream_word(E0, EB, 40.0, -70.0) != stream_word(E0, EB, -40.0, -70.0)
         # the canonical member keeps the word it had before reflection shared it
-        assert c3mc._stream_word(C3_POINT) == 7397496058057166766
+        assert c3mc._stream_word(c3mc._canonical(C3_POINT)) == 7397496058057166766
 
     def test_default_grid_has_no_repeated_word(self):
         # the default 181^2 grid at equal sharing and at 5 eV: one word per
@@ -324,7 +325,7 @@ class TestIntegrandOracle:
 
         # (k0, kA, kB) and their reflection through the symmetrization plane,
         # which at equal sharing the kernel takes as (k0', kB, kA) exactly
-        normal = c3mc._mirror_normal(kin.k_a, kin.k_b)
+        normal = c3mc._mirror_normal(kin)
         k = (kin.k0, kin.k_a, kin.k_b)
         mk = tuple(v - 2.0 * float(v @ normal) * normal for v in k)
         for s in range(n):
@@ -391,9 +392,7 @@ class TestSharedLookups:
 
 def tables_for(kin, r_max):
     """The kernel's 1F1 tables at ``kin``: |kA|, |kB| and |kA - kB|/2."""
-    kab = 0.5 * (kin.k_a - kin.k_b)
-    kmags = (math.sqrt(float(kin.k_a @ kin.k_a)), math.sqrt(float(kin.k_b @ kin.k_b)))
-    return c3mc._coulomb_tables(kmags, math.sqrt(float(kab @ kab)), r_max)
+    return c3mc._coulomb_tables(c3mc._wave_numbers(kin), c3mc._kab_mag(kin), r_max)
 
 
 TABLE_KINEMATICS = pytest.mark.parametrize(
@@ -422,17 +421,17 @@ class TestCoulombTables:
         # r1 and r2 at r_max along -k and +k give |k||r| + k.r = 2|k| r_max
         # for the waves and |kab||r12| + kab.r12 = 4|kab| r_max for the
         # correlation factor, as the kernel forms them
+        # (|k| and |kab| the kernel's, the directions the vectors')
         r_max = McConfig().r_max
         waves, corr = tables_for(kin, r_max)
         kab = 0.5 * (kin.k_a - kin.k_b)
-        for k, table in ((kin.k_a, waves[math.sqrt(float(kin.k_a @ kin.k_a))]),
-                         (kin.k_b, waves[math.sqrt(float(kin.k_b @ kin.k_b))])):
-            kmag = math.sqrt(float(k @ k))
-            r = (r_max / kmag) * k
+        for k, kmag in zip((kin.k_a, kin.k_b), c3mc._wave_numbers(kin)):
+            r = (r_max / math.sqrt(float(k @ k))) * k
             largest = kmag * r_max + r @ k
-            assert largest <= table.x_max * (1.0 + 1e-15)
-        kab_mag = math.sqrt(float(kab @ kab))
-        r12 = (r_max / kab_mag) * kab - (-(r_max / kab_mag) * kab)
+            assert largest <= waves[kmag].x_max * (1.0 + 1e-15)
+        kab_mag = c3mc._kab_mag(kin)
+        unit = kab / math.sqrt(float(kab @ kab))
+        r12 = (r_max * unit) - (-(r_max * unit))
         largest = kab_mag * math.sqrt(float(r12 @ r12)) + r12 @ kab
         assert largest <= corr.x_max * (1.0 + 1e-15)
         direct = kummer_1f1(1j * corr.alpha, 1.0, 1j * largest)
@@ -478,6 +477,14 @@ class TestCoulombTables:
         assert info.currsize == waves + 1
         assert info.hits == (waves + 1) * (len(kins) - 1)
 
+    def test_cold_grid_builds_one_wave_table_per_energy(self):
+        # every cell of a 10-degree equal-sharing grid has the one wave |k|
+        # sqrt(2 E), whatever its momentum vectors' norms; with a correlation
+        # table for each relative angle 10, 20, ..., 180 degrees
+        c3mc._table.cache_clear()
+        amplitude_grids(parse_config({"model": "c3", "step_deg": 10.0, "mc": {"samples": 1000}}))
+        assert c3mc._table.cache_info().currsize == 1 + 18
+
     @pytest.mark.parametrize("eb_ev, theta_a, theta_b", [
         (None, 10.0, 10.000001),  # one micro-degree apart
         (None, 90.0, -89.999),  # 179.999 deg apart
@@ -515,8 +522,8 @@ def cpus(monkeypatch):
 
 
 class TestBlockPool:
-    # last blocks of 3,392 (one slice under 4,096 samples), 4,464 (one
-    # slice) and 16,960 samples (8,192 plus the remainder)
+    # last blocks of 3,392 (one short slice), 4,464 (one slice) and 16,960
+    # samples (two full slices and 576 samples)
     @pytest.mark.parametrize("samples", [200_000, 70_000, 1_000_000])
     def test_pool_width_changes_no_bit(self, cpus, samples):
         cfg = McConfig(samples=samples, seed=4)
@@ -530,18 +537,20 @@ class TestBlockPool:
 
     @pytest.mark.parametrize("n", [65_536, 40_000, 16_960, 3_392])
     def test_weighing_in_slices_changes_no_bit(self, n):
+        # slices of any size, on both sides of 4,096 samples (where numpy
+        # would reorder a product with a temporary operand), give the bits
+        # of weighing the whole block
         key, r_max = np.array([4, 11], dtype=np.uint64), McConfig().r_max
-        weigh = c3mc._kernel(C3_POINT, McConfig())
-        slices = c3mc._slices(n)
-        assert slices[0][0] == 0 and slices[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
-        # numpy's operand order in the kernel changes at 4,096 samples
-        assert min(hi - lo for lo, hi in slices) >= min(n, 4096)
-        whole = weigh(*c3mc._draw(c3mc._block_stream(key, 0), n, r_max))
-        stream = c3mc._block_stream(key, 0)  # the slices drawn one after another
-        parts = np.concatenate([weigh(*c3mc._draw(stream, hi - lo, r_max)) for lo, hi in slices],
-                               axis=1)
-        assert parts.tobytes() == whole.tobytes()
+        for kin in (c3_scan_kin(-30.0, 90.0), C3_POINT,
+                    build_coplanar(C3_POINT.e0, C3_POINT.e_b, math.radians(30.0),
+                                   math.radians(30.0), C3_POINT.e_t)):
+            weigh = c3mc._kernel(kin, McConfig())
+            whole = weigh(*c3mc._draw(c3mc._block_stream(key, 0), n, r_max)).tobytes()
+            for size in (1_000, 4_095, 4_097, c3mc._SLICE):
+                stream = c3mc._block_stream(key, 0)  # the slices drawn one after another
+                parts = [weigh(*c3mc._draw(stream, min(size, n - lo), r_max))
+                         for lo in range(0, n, size)]
+                assert np.concatenate(parts, axis=1).tobytes() == whole, (kin.e_b, kin.theta_a, size)
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3, 64])
     def test_pool_width_is_capped_by_cpus_and_blocks(self, cpus, monkeypatch, n_cpus):

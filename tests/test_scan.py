@@ -530,7 +530,7 @@ class TestRelabelingFill:
         estimated = []
 
         def stub(kin, mc):
-            estimated.append(c3mc._stream_word(kin))
+            estimated.append(c3mc._stream_word(c3mc._canonical(kin)))
             return c3mc.PairEstimate(0j, 0j, np.zeros((4, 4)), mc.samples, 0)
 
         monkeypatch.setattr(c3mc, "c3_pair", stub)
