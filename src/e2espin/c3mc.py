@@ -54,7 +54,11 @@ at r1 and at r2, whose momenta give the e-e relative momentum.
 ``c3_pair`` draws and weighs a block in slices of ``_SLICE`` samples,
 writes the weights into one (4, n) array of (Re t_d, Im t_d, Re t_e,
 Im t_e), counts non-finite weights as zeros and sums the blocks with
-``math.fsum``.
+``math.fsum``.  Sampler, kernel and reduction write every array into the
+block's ``_Workspace`` with ufunc ``out=`` arguments, in the operand
+order of the plain expressions, so a slice allocates no arrays of its
+own; each array handed to a reduction or a matrix product is
+C-contiguous, as a new array would be, so its summation order is too.
 
 The blocks of a point are independent, so ``c3_pair`` runs them on a
 pool of min(usable CPUs, blocks) threads (numpy releases the interpreter
@@ -63,9 +67,13 @@ one-block point runs in the caller's thread.  The pool lives as long as
 the call, so no idle thread keeps its memory between points.  A block is
 computed only while it holds one of ``usable_cpus()`` process-wide
 slots, so scan workers running points at once still compute no more
-blocks than there are usable CPUs, and the working memory is bounded by
-usable CPUs times one sliced block (about 7 MiB for a full block of
-65,536 samples at unequal sharing).
+blocks than there are usable CPUs.  With its slot a block takes a
+workspace from a free list and returns it after its sums: the list
+grows only when every workspace is in use, so it holds at most one per
+usable CPU, each about 8 MiB at unequal sharing (6 MiB of slice arrays
+and the 2 MiB block array).  A scan's points reuse the workspaces
+(``reusing_workspaces``), and they are freed when the last ``c3_pair``
+call or scan using them ends.
 
 Every 1F1 factor has the form 1F1(i*alpha; 1; i*x) with real x >= 0, so
 the kernel reads it from a ``Coulomb1F1Table``: one per wave number
@@ -104,6 +112,8 @@ same bits.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import functools
 import hashlib
 import math
@@ -123,7 +133,8 @@ from .special import Coulomb1F1Table, coulomb_norm
 # where c3mc looks it up; drop it when the benchmark next changes.
 from .special import kummer_1f1  # noqa: F401
 
-__all__ = ["PairEstimate", "c3_pair", "estimate_key", "usable_cpus", "BLOCK_SIZE"]
+__all__ = ["PairEstimate", "c3_pair", "estimate_key", "reusing_workspaces", "usable_cpus",
+           "BLOCK_SIZE"]
 
 BLOCK_SIZE = 65536
 _SLICE = 8192  # samples weighed at once; no weight depends on it
@@ -259,11 +270,40 @@ def _mirror_normal(kin: Kinematics) -> np.ndarray:
     return n / math.sqrt(float(n @ n))
 
 
-def _spherical(rmag, cos_t, phi):
-    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-    return np.stack(
-        [rmag * sin_t * np.cos(phi), rmag * sin_t * np.sin(phi), rmag * cos_t], axis=1
-    )
+class _Workspace:
+    """The arrays of one block of samples, reused from slice to slice.
+
+    ``ws(name, shape, dtype)`` is a C-contiguous array of ``shape`` over
+    the buffer kept under ``name``, which grows to the largest size asked
+    of it; it holds whatever the name's last user wrote.  A fresh
+    workspace gives arrays of exactly the sizes asked.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name, shape, dtype=float):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _spherical(rmag, cos_t, phi, out, ws):
+    """Writes rmag (sin_t cos(phi), sin_t sin(phi), cos_t) into the (n, 3) ``out``."""
+    n = len(rmag)
+    rsin = ws("rsin", (n,))  # rmag sin_t
+    np.multiply(cos_t, cos_t, out=rsin)
+    np.subtract(1.0, rsin, out=rsin)
+    np.clip(rsin, 0.0, None, out=rsin)
+    np.sqrt(rsin, out=rsin)
+    np.multiply(rmag, rsin, out=rsin)
+    trig = ws("trig", (n,))
+    np.multiply(rsin, np.cos(phi, out=trig), out=out[:, 0])
+    np.multiply(rsin, np.sin(phi, out=trig), out=out[:, 1])
+    np.multiply(rmag, cos_t, out=out[:, 2])
+    return out
 
 
 def _block_stream(key: np.ndarray, block: int) -> np.random.Generator:
@@ -272,28 +312,54 @@ def _block_stream(key: np.ndarray, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _draw(stream: np.random.Generator, n: int, r_max: float):
+def _exponential_radius(u, columns, rate, out, ws):
+    """-(sum of log1p(-u[:, c]) over ``columns``) / rate, written into ``out``."""
+    t = ws("t", out.shape)
+    np.log1p(np.negative(u[:, columns[0]], out=out), out=out)
+    for c in columns[1:]:
+        out += np.log1p(np.negative(u[:, c], out=t), out=t)
+    np.negative(out, out=out)
+    out /= rate
+    return out
+
+
+def _draw(stream: np.random.Generator, n: int, r_max: float, ws=None):
     """The coordinates of the next n samples of a block and their sampling density.
 
-    Maps ``stream``'s next uniforms to (r1, |r1|, r2, |r2|, p1(r1) p2(r2)).
-    Drawing a block in slices, one after another, gives the samples of
-    drawing it at once.
+    Maps ``stream``'s next uniforms to (r1, |r1|, r2, |r2|, p1(r1) p2(r2)),
+    arrays of workspace ``ws`` (of a fresh one without it).  Drawing a
+    block in slices, one after another, gives the samples of drawing it
+    at once.
     """
-    u = stream.random((n, _DRAWS))
+    ws = _Workspace() if ws is None else ws
+    u = stream.random(out=ws("u", (n, _DRAWS)))
+    t, cos_t, phi = ws("t", (n,)), ws("cos_t", (n,)), ws("phi", (n,))
 
-    r2mag = -(np.log1p(-u[:, 0]) + np.log1p(-u[:, 1]) + np.log1p(-u[:, 2])) / _LAMBDA2
-    r2 = _spherical(r2mag, 2.0 * u[:, 3] - 1.0, _TWO_PI * u[:, 4])
-    use_uni = u[:, 5] < 0.5
-    r_exp = -(np.log1p(-u[:, 6]) + np.log1p(-u[:, 7])) / _LAMBDA1
-    r1mag = np.where(use_uni, u[:, 6] * r_max, r_exp)
-    r1 = _spherical(r1mag, 2.0 * u[:, 8] - 1.0, _TWO_PI * u[:, 9])
+    def direction(c):
+        """cos(theta) = 2 u_c - 1 and phi = 2 pi u_{c+1}."""
+        np.subtract(np.multiply(2.0, u[:, c], out=cos_t), 1.0, out=cos_t)
+        return cos_t, np.multiply(_TWO_PI, u[:, c + 1], out=phi)
+
+    r2mag = _exponential_radius(u, (0, 1, 2), _LAMBDA2, ws("r2mag", (n,)), ws)
+    r2 = _spherical(r2mag, *direction(3), ws("r2", (n, 3)), ws)
+    use_uni = np.less(u[:, 5], 0.5, out=ws("use_uni", (n,), bool))
+    r1mag = _exponential_radius(u, (6, 7), _LAMBDA1, ws("r1mag", (n,)), ws)
+    np.copyto(r1mag, np.multiply(u[:, 6], r_max, out=t), where=use_uni)
+    r1 = _spherical(r1mag, *direction(8), ws("r1", (n, 3)), ws)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = 0.5 * (_LAMBDA1**2 / _FOUR_PI) * np.exp(-_LAMBDA1 * r1mag) / r1mag + 0.5 / (
-            _FOUR_PI * r_max * r1mag * r1mag
-        )
-        p2 = (_LAMBDA2**3 / (8.0 * math.pi)) * np.exp(-_LAMBDA2 * r2mag)
-        return r1, r1mag, r2, r2mag, p1 * p2
+        # p1 = 0.5 (l1^2 / 4 pi) e^{-l1 r} / r + 0.5 / (4 pi r_max r r)
+        p = ws("density", (n,))
+        np.exp(np.multiply(-_LAMBDA1, r1mag, out=p), out=p)
+        np.multiply(0.5 * (_LAMBDA1**2 / _FOUR_PI), p, out=p)
+        p /= r1mag
+        np.multiply(_FOUR_PI * r_max, r1mag, out=t)
+        t *= r1mag
+        p += np.divide(0.5, t, out=t)
+        # times p2 = (l2^3 / 8 pi) e^{-l2 r}
+        np.exp(np.multiply(-_LAMBDA2, r2mag, out=t), out=t)
+        p *= np.multiply(_LAMBDA2**3 / (8.0 * math.pi), t, out=t)
+    return r1, r1mag, r2, r2mag, p
 
 
 # Wave and correlation tables by exact (alpha, x_max).  Every point of one
@@ -350,9 +416,10 @@ def _distinct_rows(rows):
 def _kernel(kin: Kinematics, cfg: McConfig):
     """The weight kernel of the mirror-symmetrized 3C integrand at ``kin``.
 
-    Returns ``weigh(r1, r1mag, r2, r2mag, density)``: the (2, n) weights of
-    (t_d, t_e), zero outside the r_max ball.  It takes the radii and the
-    density from the sampler; recomputing them would change bits.
+    Returns ``weigh(r1, r1mag, r2, r2mag, density, ws=None)``: the (2, n)
+    weights of (t_d, t_e), zero outside the r_max ball, an array of
+    workspace ``ws`` (of a fresh one without it).  It takes the radii and
+    the density from the sampler; recomputing them would change bits.
     """
     r_max = float(cfg.r_max)
     z_eff = 0.0 if cfg.debug_free_limit else 1.0  # Z = 0 leaves plane waves
@@ -383,8 +450,7 @@ def _kernel(kin: Kinematics, cfg: McConfig):
     # rows' waves and e-e momentum, and only their beams differ
     waves_at, rows = _distinct_rows([row[1:] for row in table])
     m = len(waves_at)
-    # the wave lookups, (0 at r1 or 1 at r2, momentum, |k|), at r1 first
-    lookups = [(i, k, kmag) for i, col in enumerate(zip(*waves_at)) for k, kmag in col]
+    pair_of_row = range(4) if rows is None else rows.tolist()
     kabs = [0.5 * (k1 - k2) for (k1, _), (k2, _) in waves_at]
 
     # reflection and overall sign leave |kab| the same in every row
@@ -393,52 +459,92 @@ def _kernel(kin: Kinematics, cfg: McConfig):
         waves, corr = {}, None
     else:
         waves, corr = _coulomb_tables((kmag_a, kmag_b), kab_mag, r_max)
-    # the indices of each wave table's lookups: one call per table and slice
-    by_table = [(tab, [j for j, (_, _, kmag) in enumerate(lookups) if kmag == key])
-                for key, tab in waves.items()]
+
+    # the wave lookups, (0 at r1 or 1 at r2, momentum, |k|): pair j's waves
+    # at r1 and at r2 are lookups j and m + j.  Their rows are sorted by
+    # |k|, so a slice reads each wave table in one call on adjacent rows.
+    lookups = [(i, k, kmag) for i, col in enumerate(zip(*waves_at)) for k, kmag in col]
+    order = sorted(range(2 * m), key=lambda j: lookups[j][2])
+    pairs = [(order.index(j), order.index(m + j)) for j in range(m)]
+    lookups = [lookups[j] for j in order]
+    kmags = [kmag for _, _, kmag in lookups]
+    spans = [(tab, bisect.bisect_left(kmags, key), bisect.bisect_right(kmags, key))
+             for key, tab in waves.items()]
 
     # conjugated normalization factors; one overall scalar for all rows
     scale = np.conj(coulomb_norm(-z_eff / kmag_a)) * np.conj(coulomb_norm(-z_eff / kmag_b))
     if corr is not None:
         scale *= np.conj(coulomb_norm(0.5 / kab_mag))
 
-    def weigh(r1, r1mag, r2, r2mag, density):
+    def weigh(r1, r1mag, r2, r2mag, density, ws=None):
+        ws = _Workspace() if ws is None else ws
+        n = len(r1mag)
+        at = ((r1, r1mag), (r2, r2mag))
+        t = ws("t", (n,))
         with np.errstate(divide="ignore", invalid="ignore"):
-            r12 = r1 - r2
-            r12mag = np.sqrt(np.sum(r12 * r12, axis=1))
-            pot = 1.0 / r12mag - 1.0 / r1mag
+            r12 = np.subtract(r1, r2, out=ws("r12", (n, 3)))
+            # |r12|^2 adds the squared components left to right, as
+            # np.sum(r12 * r12, axis=1) does, without its per-row loop
+            r12mag = np.multiply(r12[:, 0], r12[:, 0], out=ws("r12mag", (n,)))
+            for c in (1, 2):
+                r12mag += np.multiply(r12[:, c], r12[:, c], out=t)
+            np.sqrt(r12mag, out=r12mag)
+            pot = np.divide(1.0, r12mag, out=ws("pot", (n,)))
+            pot -= np.divide(1.0, r1mag, out=t)
             # smooth radial taper of the projectile coordinate
-            ramp = np.clip((r1mag / r_max - 0.5) * 2.0, 0.0, 1.0)
-            window = np.cos(0.5 * math.pi * ramp) ** 2
-            common = (scale * _BOUND_NORM) * (pot * window * np.exp(-r2mag)) + 0.0j
+            window = np.divide(r1mag, r_max, out=ws("window", (n,)))
+            window -= 0.5
+            window *= 2.0
+            np.clip(window, 0.0, 1.0, out=window)
+            np.multiply(0.5 * math.pi, window, out=window)
+            np.square(np.cos(window, out=window), out=window)
+            pot *= window
+            pot *= np.exp(np.negative(r2mag, out=t), out=t)
+            common = np.multiply(scale * _BOUND_NORM, pot, out=ws("common", (n,), complex))
+            common += 0.0j
 
-            # plane-wave phases: beam at r1 and conjugated waves at r1, r2
-            g = np.exp(1j * np.stack([r1 @ k - r1 @ k1 - r2 @ k2
-                                      for k, (k1, _), (k2, _) in table]))
+            # plane-wave phases: beam at r1 and conjugated waves at r1, r2;
+            # "arguments" holds them, then the waves' and the e-e factor's
+            # 1F1 arguments, each set used up before the next is written
+            ph = ws("arguments", (4, n))
+            for row, (k, (k1, _), (k2, _)) in zip(ph, table):
+                np.matmul(r1, k, out=row)
+                row -= np.matmul(r1, k1, out=t)
+                row -= np.matmul(r2, k2, out=t)
+            g = ws("g", (4, n), complex)
+            np.exp(np.multiply(1j, ph, out=g), out=g)
             if corr is not None:
-                # the waves' 1F1 factors at |k||r| + k.r, by distinct pair, at r1 and r2
-                at = ((r1, r1mag), (r2, r2mag))
-                x = np.stack([kmag * at[i][1] + at[i][0] @ k for i, k, kmag in lookups])
-                f_waves = np.empty(x.shape, dtype=complex)
-                for tab, js in by_table:
-                    f_waves[js] = tab.evaluate(x[js])
-                rc = kab_mag * r12mag
-                args_c = np.concatenate([rc + r12 @ kab for kab in kabs])
-                c = corr.evaluate(args_c).reshape(m, -1)
-                f = f_waves[:m] * f_waves[m:]
-                if rows is not None:
-                    f, c = f[rows], c[rows]
-                # complex multiply is not bitwise commutative, so the factors
-                # are multiplied in place in one order, ((waves at r1 * waves
-                # at r2) * g) * c: a weight is the same in a slice of any size
-                f *= g
-                f *= c
-                g = f
+                # the waves' 1F1 factors at |k||r| + k.r, at r1 and r2
+                x = ws("arguments", (2 * m, n))
+                for row, (i, k, kmag) in zip(x, lookups):
+                    np.matmul(at[i][0], k, out=row)
+                    row += np.multiply(kmag, at[i][1], out=t)
+                f_waves = ws("f_waves", (2 * m, n), complex)
+                for tab, lo, hi in spans:
+                    tab.evaluate(x[lo:hi], out=f_waves[lo:hi], work=ws)
+                rc = np.multiply(kab_mag, r12mag, out=t)
+                args_c = ws("arguments", (m, n))
+                for row, kab in zip(args_c, kabs):
+                    np.matmul(r12, kab, out=row)
+                    row += rc
+                c = corr.evaluate(args_c, out=ws("corr", (m, n), complex), work=ws)
+                # complex multiply is not bitwise commutative, so a row's
+                # factors are multiplied in one order, ((waves at r1 * waves
+                # at r2) * phase) * e-e factor
+                f = ws("f", (n,), complex)
+                for row, j in zip(g, pair_of_row):
+                    np.multiply(f_waves[pairs[j][0]], f_waves[pairs[j][1]], out=f)
+                    f *= row
+                    np.multiply(f, c[j], out=row)
 
-            inv_p = (0.5 * common) / density
-            w = (g[0::2] + g[1::2]) * inv_p
-        inball = (r1mag <= r_max) & (r2mag <= r_max)
-        return np.where(inball, w, 0.0)
+            inv_p = np.multiply(0.5, common, out=common)
+            inv_p /= density
+            w = np.add(g[0::2], g[1::2], out=ws("w", (2, n), complex))
+            w *= inv_p
+        inball = np.less_equal(r1mag, r_max, out=ws("inball", (n,), bool))
+        inball &= np.less_equal(r2mag, r_max, out=ws("inball_r2", (n,), bool))
+        np.copyto(w, 0.0, where=np.logical_not(inball, out=inball))
+        return w
 
     return weigh
 
@@ -453,6 +559,47 @@ def usable_cpus() -> int:
 # one slot per usable CPU, held while a block is computed: with scan
 # workers running points at once, still no more blocks than CPUs at a time
 _cpu_slots = threading.BoundedSemaphore(usable_cpus())
+# the workspaces of the blocks not in flight: a block takes one with its
+# slot, so the list grows only when every workspace is in use, to at most
+# one per slot.  It is emptied when the last ``reusing_workspaces`` ends.
+_free_workspaces: list[_Workspace] = []
+_reusers = 0
+_reusers_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def reusing_workspaces():
+    """While open, the blocks of ``c3_pair`` calls reuse one another's workspaces.
+
+    Every ``c3_pair`` call opens one for its blocks; a caller making many
+    calls (a scan) opens one around them, so that its points reuse the
+    workspaces too.  When the last one closes, the workspaces are freed,
+    so no idle workspace keeps its memory between operations.
+    """
+    global _reusers
+    with _reusers_lock:
+        _reusers += 1
+    try:
+        yield
+    finally:
+        with _reusers_lock:
+            _reusers -= 1
+            if not _reusers:
+                _free_workspaces.clear()
+
+
+@contextlib.contextmanager
+def _block_workspace():
+    """Holds one of ``_cpu_slots`` and yields a workspace no other block holds."""
+    with _cpu_slots:
+        try:
+            ws = _free_workspaces.pop()  # atomic, so no two blocks get one workspace
+        except IndexError:
+            ws = _Workspace()
+        try:
+            yield ws
+        finally:
+            _free_workspaces.append(ws)
 
 
 def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
@@ -470,27 +617,31 @@ def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
 
     def block_sums(blk):
         n = min(BLOCK_SIZE, n_total - blk * BLOCK_SIZE)
-        with _cpu_slots:
+        with _block_workspace() as ws:
             stream = _block_stream(key, blk)
             # rows (Re t_d, Im t_d, Re t_e, Im t_e), written slice by slice
-            x = np.empty((4, n))
+            x = ws("block", (4, n))
             for lo in range(0, n, _SLICE):
-                w = weigh(*_draw(stream, min(_SLICE, n - lo), r_max))
+                w = weigh(*_draw(stream, min(_SLICE, n - lo), r_max, ws), ws)
                 x[0::2, lo:lo + _SLICE] = w.real
                 x[1::2, lo:lo + _SLICE] = w.imag
-            finite = np.isfinite(x).all(axis=0)
-            if not finite.all():
-                x = np.where(finite, x, 0.0)
-            return x.sum(axis=1), x @ x.T, int(np.count_nonzero(~finite))
+            finite = np.isfinite(x[0], out=ws("finite", (n,), bool))
+            for row in x[1:]:
+                finite &= np.isfinite(row, out=ws("finite_row", (n,), bool))
+            rejected = n - int(np.count_nonzero(finite))
+            if rejected:
+                np.copyto(x, 0.0, where=~finite)
+            return x.sum(axis=1), x @ x.T, rejected
 
     blocks = range((n_total + BLOCK_SIZE - 1) // BLOCK_SIZE)
     width = min(usable_cpus(), len(blocks))
-    if width == 1:
-        sums = list(map(block_sums, blocks))
-    else:
-        # the pool ends with the point, and its threads with it
-        with ThreadPoolExecutor(max_workers=width, thread_name_prefix="c3mc-block") as pool:
-            sums = list(pool.map(block_sums, blocks))
+    with reusing_workspaces():
+        if width == 1:
+            sums = list(map(block_sums, blocks))
+        else:
+            # the pool ends with the point, and its threads with it
+            with ThreadPoolExecutor(max_workers=width, thread_name_prefix="c3mc-block") as pool:
+                sums = list(pool.map(block_sums, blocks))
     s1_blocks, s2_blocks, rejected = zip(*sums)
     n_rejected = sum(rejected)
 

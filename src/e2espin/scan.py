@@ -287,11 +287,12 @@ def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, 
 
     # the pool starts a thread per group up to this
     workers = min(workers, len(groups), c3mc.usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(do_point, groups.values()))
-    else:
-        estimates = [do_point(group) for group in groups.values()]
+    with c3mc.reusing_workspaces():  # a one-block point reuses the last one's arrays
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                estimates = list(pool.map(do_point, groups.values()))
+        else:
+            estimates = [do_point(group) for group in groups.values()]
     td = np.empty((len(ta_rad), len(tb_rad)), dtype=complex)
     te = np.empty_like(td)
     covs = np.empty(td.shape + (4, 4))

@@ -318,6 +318,11 @@ def _chebyshev_segments(alpha: float, x_max: float) -> tuple[int, np.ndarray]:
     return n_seg, coef
 
 
+def _fresh(name, shape, dtype):
+    """A new array: the scratch of a table evaluated without a workspace."""
+    return np.empty(shape, dtype)
+
+
 class Coulomb1F1Table:
     """x -> 1F1(i*alpha; 1; i*x) on [0, x_max] as a piecewise polynomial table.
 
@@ -342,40 +347,57 @@ class Coulomb1F1Table:
         n_seg, cheb = _chebyshev_segments(alpha, x_max)
         self._n_seg = n_seg
         self._inv_width = n_seg / x_max
-        coef = cheb @ _CHEBYSHEV_TO_POWER
-        # (power, re/im, segment): one gather per Horner step
-        self._coef = np.ascontiguousarray(np.stack([coef.real.T, coef.imag.T], axis=1))
+        # (power, segment): one gather of complex coefficients per Horner step
+        self._coef = np.ascontiguousarray((cheb @ _CHEBYSHEV_TO_POWER).T)
 
-    def evaluate(self, x) -> np.ndarray:
+    def evaluate(self, x, out=None, work=None) -> np.ndarray:
         """1F1(i*alpha; 1; i*x) at real ``x``, clamped into [0, x_max].
 
-        Returns a complex array of the shape of ``x``.  Each value depends
-        only on its own argument, so bitwise-equal arguments give
-        bitwise-equal values; a NaN argument gives a NaN value.
+        Returns a complex array of the shape of ``x``, written into ``out``
+        when given (a C-contiguous complex array of that shape).  Each value
+        depends only on its own argument, so bitwise-equal arguments give
+        bitwise-equal values; a NaN argument gives a NaN value.  ``work``,
+        when given, provides the scratch arrays of up to ``_TABLE_CHUNK``
+        arguments: ``work(name, shape, dtype)`` returns a C-contiguous
+        array it may reuse from call to call.
         """
         flat = np.asarray(x, dtype=float).reshape(-1)
-        out = np.empty(flat.shape, dtype=complex)
-        parts = out.view(float).reshape(-1, 2)
+        if out is None:
+            out = np.empty(np.shape(x), dtype=complex)
+        elif out.shape != np.shape(x) or out.dtype != complex or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous complex array of the shape of x")
+        values = out.reshape(-1)
         coef = self._coef
+        size = min(len(flat), _TABLE_CHUNK)
+        work = _fresh if work is None else work
+        u = work("table_u", (size,), float)  # the argument, then t in [-1, 1] in its segment
+        seg = work("table_seg", (size,), np.intp)
+        t2 = work("table_t2", (size, 2), float)  # t for the real and the imaginary part
+        ck = work("table_ck", (size,), complex)
         for start in range(0, len(flat), _TABLE_CHUNK):
-            u = np.clip(flat[start:start + _TABLE_CHUNK], 0.0, self.x_max)
-            u *= self._inv_width
+            stop = min(start + _TABLE_CHUNK, len(flat))
+            n = stop - start
+            un, segn, ckn = u[:n], seg[:n], ck[:n]
+            np.clip(flat[start:stop], 0.0, self.x_max, out=un)
+            un *= self._inv_width
             with np.errstate(invalid="ignore"):  # NaN: any segment, NaN value
-                seg = u.astype(np.intp)
-            np.minimum(seg, self._n_seg - 1, out=seg)
+                np.copyto(segn, un, casting="unsafe")
+            np.minimum(segn, self._n_seg - 1, out=segn)
             # t in [-1, 1], the position inside the segment
-            u -= seg
-            u *= 2.0
-            u -= 1.0
-            # Horner: b = b t + c_k, real and imaginary parts as the two rows
-            b = np.take(coef[_TABLE_DEGREE], seg, axis=1, mode="clip")
-            ck = np.empty_like(b)
+            un -= segn
+            un *= 2.0
+            un -= 1.0
+            t2[:n] = un[:, None]
+            tn = t2[:n].reshape(-1)
+            # Horner: b = b t + c_k on the real and imaginary parts
+            b = values[start:stop]
+            coef[_TABLE_DEGREE].take(segn, mode="clip", out=b)
+            parts = b.view(float)
             for k in range(_TABLE_DEGREE - 1, -1, -1):
-                b *= u
-                np.take(coef[k], seg, axis=1, mode="clip", out=ck)
-                b += ck
-            parts[start:start + _TABLE_CHUNK] = b.T
-        return out.reshape(np.shape(x))
+                parts *= tn
+                coef[k].take(segn, mode="clip", out=ckn)
+                parts += ckn.view(float)
+        return out
 
 
 def coulomb_norm(xi: float) -> complex:

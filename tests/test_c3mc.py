@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -47,8 +49,8 @@ def poison(monkeypatch, samples, fill):
     """
     marked, drawn = [], {}  # drawn: samples drawn so far from each block's stream
 
-    def draw(stream, n, r_max):
-        sample = REAL_DRAW(stream, n, r_max)
+    def draw(stream, n, r_max, ws=None):
+        sample = REAL_DRAW(stream, n, r_max, ws)
         lo = drawn.get(stream, 0)
         drawn[stream] = lo + n
         in_block = np.zeros(c3mc.BLOCK_SIZE, dtype=bool)
@@ -59,8 +61,8 @@ def poison(monkeypatch, samples, fill):
     def kernel(kin, cfg):
         weigh = REAL_KERNEL(kin, cfg)
 
-        def poisoned(r1, r1mag, r2, r2mag, density):
-            w = weigh(r1, r1mag, r2, r2mag, density)
+        def poisoned(r1, r1mag, r2, r2mag, density, ws=None):
+            w = weigh(r1, r1mag, r2, r2mag, density, ws)
             w[:, np.isin(r1mag, marked)] = fill
             return w
         return poisoned
@@ -354,9 +356,9 @@ def count_lookups(monkeypatch):
     count = [0]
     evaluate = c3mc.Coulomb1F1Table.evaluate
 
-    def counted(self, x):
+    def counted(self, x, out=None, work=None):
         count[0] += np.size(x)
-        return evaluate(self, x)
+        return evaluate(self, x, out, work)
 
     monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", counted)
     return count
@@ -443,8 +445,9 @@ class TestCoulombTables:
         cfg = McConfig(samples=20_000, seed=12)
         table = c3mc.c3_pair(C3_POINT, cfg)
 
-        def direct(self, x):
-            return kummer_1f1(1j * self.alpha, 1.0, 1j * np.clip(x, 0.0, self.x_max))
+        def direct(self, x, out, work=None):
+            out[...] = kummer_1f1(1j * self.alpha, 1.0, 1j * np.clip(x, 0.0, self.x_max))
+            return out
 
         monkeypatch.setattr(c3mc.Coulomb1F1Table, "evaluate", direct)
         oracle = c3mc.c3_pair(C3_POINT, cfg)
@@ -629,6 +632,60 @@ class TestBlockPool:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, peak / 2**20
+
+    def test_peak_memory_of_a_warm_point(self):
+        # a one-block point whose tables and workspace are warm allocates no
+        # slice arrays (0.13 MiB measured; with fresh slice arrays it peaked
+        # at 7.2 MiB)
+        cfg = McConfig(samples=c3mc.BLOCK_SIZE, seed=4)
+        with c3mc.reusing_workspaces():
+            c3mc.c3_pair(C3_POINT, cfg)
+            tracemalloc.start()
+            try:
+                c3mc.c3_pair(C3_POINT, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**19, peak / 2**20
+
+    def test_no_two_blocks_share_a_workspace(self, cpus, monkeypatch):
+        # 2 slots, 2 scan workers and a 2-thread block pool per point: each
+        # point's two blocks (8 slices and 1) run beside the other point's
+        held, counts, lock = set(), [0, 0], threading.Lock()
+        take = c3mc._block_workspace
+
+        @contextlib.contextmanager
+        def checked():
+            with take() as ws:
+                with lock:
+                    assert id(ws) not in held
+                    held.add(id(ws))
+                    counts[0] += 1
+                    counts[1] = max(counts[1], len(held) + len(c3mc._free_workspaces))
+                try:
+                    yield ws
+                finally:
+                    with lock:
+                        held.discard(id(ws))
+
+        monkeypatch.setattr(c3mc, "_block_workspace", checked)
+        cfg = parse_config({"model": "c3", "eb_ev": 5.0, "theta_min_deg": -90.0,
+                            "theta_max_deg": 90.0, "step_deg": 90.0,
+                            "mc": {"samples": 70_000, "seed": 5}})
+        cpus(1)
+        alone = amplitude_grids(cfg, workers=1)
+        cpus(2)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = amplitude_grids(cfg, workers=3)
+        finally:
+            sys.setswitchinterval(switch)
+        for a, b in zip(alone, pooled):
+            assert a.tobytes() == b.tobytes()
+        # at most one workspace per slot, and none kept after the grid
+        assert counts[0] > 2 and counts[1] <= 2
+        assert c3mc._free_workspaces == []
 
 
 def same_estimate(a, b) -> bool:

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from e2espin import special
 from e2espin.special import (
     Coulomb1F1Table,
     ConvergenceError,
@@ -206,6 +207,33 @@ class TestCoulomb1F1Table:
         assert out[0] == out[1] and out[2] == out[3] == out[4]
         assert abs(out[1] - 1.0) <= 1e-11
         assert np.isnan(table.evaluate(np.array([math.nan]))).all()
+
+    def test_out_and_work_change_no_bit(self):
+        # a caller's output and scratch arrays against fresh ones, over more
+        # than one chunk of arguments, the clamped ends and NaN included
+        table = Coulomb1F1Table(0.8165, 34.3)
+        x = np.random.default_rng(5).uniform(-1.0, 35.0, (3, 7_000))
+        x[1, :3] = [math.nan, math.inf, -math.inf]
+        fresh = table.evaluate(x)
+        out = np.full(x.shape, math.nan, dtype=complex)
+        kept = {}
+
+        def work(name, shape, dtype):
+            return kept.setdefault(name, np.empty(shape, dtype))
+        assert table.evaluate(x, out=out, work=work) is out
+        assert out.tobytes() == fresh.tobytes()
+        assert np.isnan(out[1, 0].real) and np.isnan(out[1, 0].imag)
+        assert set(kept) and all(a.size <= 2 * special._TABLE_CHUNK for a in kept.values())
+        # a second call reuses the scratch
+        again = np.empty(x.shape, dtype=complex)
+        table.evaluate(x, out=again, work=work)
+        assert again.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty(5, dtype=complex), np.empty((2, 3)),
+                                     np.empty((3, 2), dtype=complex).T])
+    def test_rejects_an_unfit_out(self, out):
+        with pytest.raises(ValueError):
+            Coulomb1F1Table(0.5, 10.0).evaluate(np.ones((2, 3)), out=out)
 
     def test_shape(self):
         table = Coulomb1F1Table(0.5, 10.0)
