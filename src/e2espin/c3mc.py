@@ -70,7 +70,8 @@ slots, so scan workers running points at once still compute no more
 blocks than there are usable CPUs.  With its slot a block takes a
 workspace from a free list and returns it after its sums: the list
 grows only when every workspace is in use, so it holds at most one per
-usable CPU, each about 8 MiB at unequal sharing (6 MiB of slice arrays
+usable CPU, each about 8.5 MiB at unequal sharing (6.5 MiB of slice
+arrays, 1.5 MiB of them the table scratch of one 32,768-argument chunk,
 and the 2 MiB block array).  A scan's points reuse the workspaces
 (``reusing_workspaces``), and they are freed when the last ``c3_pair``
 call or scan using them ends.

@@ -259,6 +259,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # e.g. a scan grid too fine to allocate
+        print(f"numeric/model error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -26,21 +26,43 @@ has converged, so near |z| = 21 a value depends on its batch by up to
 ~1e-8 relative.
 
 ``Coulomb1F1Table`` tabulates the Coulomb case x -> 1F1(i*alpha; 1; i*x)
-for real x in [0, x_max]: a piecewise Chebyshev fit of degree
-``_TABLE_DEGREE`` on segments of width at most ``_TABLE_WIDTH`` /
-max(1, |alpha|), built from one batched ``kummer_1f1`` call on twice as
-many Chebyshev nodes per segment as coefficients, converted to the
-power basis of the segment variable t in [-1, 1] and evaluated by
-Horner's rule (within about 1e-15 relative of Clenshaw's recurrence on
-the Chebyshev coefficients).  Its truncation error, about 1e-11
-relative, is far below the series noise of ``kummer_1f1``, which the
-projection onto the lower degree averages down.  So against mpmath its
-worst error over [0, x_max] is no worse than that of ``kummer_1f1`` at
-the same points: 2.0e-9 against 3.6e-9 at alpha = 0.62 and 4.5e-8
-against 7.5e-8 at alpha = 2, both at the switch radius.  Where the error
-of ``kummer_1f1`` is the smooth truncation of its asymptotic sums
-(alpha = -2) the table reproduces it, and both read 2.2e-8.  A table
-value depends only on its own argument, never on its batch.
+for real x in [0, x_max] in two steps.  The fit: a piecewise Chebyshev
+series of degree ``_FIT_DEGREE`` (8) on segments of width at most
+``_TABLE_WIDTH`` / max(1, |alpha|), the projection of one batched
+``kummer_1f1`` call on twice as many Chebyshev nodes per segment as
+coefficients.  Its truncation error, about 1e-11 relative, is far below
+the series noise of ``kummer_1f1``, which the oversampled projection
+onto the lower degree averages down (fitting degree 5 straight from
+``kummer_1f1`` on pieces as narrow as the refit's gives 1.12 times its
+worst error against mpmath).
+The refit: each segment is split into ``_TABLE_PIECES`` (4) equal
+pieces, and each piece gets the degree-``_TABLE_DEGREE`` (5) polynomial
+through the segment's series at the 6 Chebyshev points cos(pi j / 5) of
+the piece, both ends included, all through one constant matrix
+(``_REFIT``), so a build adds one small matrix product and no
+``kummer_1f1`` call.  The refit stays within 4.3e-10 relative of the
+degree-8 fit.  Its source is a polynomial without noise, so it
+interpolates: a projection at 2 (5 + 1) nodes per piece stays within
+2.3e-10 inside a piece but misses its ends by up to 3e-11, so the table
+would read 1F1(0) = 1 to 2e-11 where the degree-8 fit reads it to
+2e-12.  With both ends pinned, the table is also continuous across the
+pieces of a segment.  The pieces are stored in the power basis of the
+piece variable t in [-1, 1] and evaluated by Horner's rule in 5 steps
+(within about 1e-15 relative of Clenshaw's recurrence on the pieces'
+Chebyshev coefficients), at 16 bytes per coefficient: 384 bytes per
+segment where the degree-8 power basis took 144, so 18 kB for a
+46-segment table.  Degree 4 on 8 pieces evaluates about 12% faster
+but takes 640 bytes per segment and misses by up to 4.9e-10; with the
+table scratch of a 32,768-argument chunk it raised the benchmark's
+``c3_scan`` peak resident set by 8.8% against 5.8% for this choice.
+Against mpmath its worst error over [0, x_max] is no worse than that of
+``kummer_1f1`` at the same points: from 0.43 times it (2.7e-9 against
+6.3e-9 at alpha = 0.82) to 0.80 times (2.0e-9 against 2.5e-9 at
+alpha = 0.62), and 4.4e-8 against 7.2e-8 at alpha = 2, in each case at
+the switch radius.  Where the error of ``kummer_1f1`` is the smooth
+truncation of its asymptotic sums (alpha = -2) the table reproduces
+it, and both read about 2.1e-8.  A table value depends only on its own
+argument, never on its batch.
 
 ``z`` (``x`` for the table) may be a scalar or a numpy array in all
 functions.  Nothing here keeps mutable state, so concurrent calls are
@@ -89,11 +111,16 @@ _Z_SWITCH = 21.0
 _MAX_TERMS = 10_000
 _ASYM_TERMS = 80
 
-# Coulomb 1F1 table: polynomial degree per segment, widest segment, and
-# arguments per evaluation chunk (sized to keep the buffers in cache)
-_TABLE_DEGREE = 8
+# Coulomb 1F1 table: degree of the Chebyshev fit per segment, widest
+# segment, pieces per segment (a power of two, so an argument's piece lies
+# in the segment the fit gives it) and their degree after the refit, and
+# arguments per evaluation chunk (4 x the 3C slice of 8,192 samples, so a
+# slice reads each table in one chunk)
+_FIT_DEGREE = 8
 _TABLE_WIDTH = 1.0
-_TABLE_CHUNK = 16384
+_TABLE_PIECES = 4
+_TABLE_DEGREE = 5
+_TABLE_CHUNK = 32768
 
 
 def _is_nonpositive_integer(w: complex) -> bool:
@@ -297,25 +324,60 @@ def _chebyshev_to_power(degree: int) -> np.ndarray:
     return m
 
 
+def _refit_matrix(fit_degree: int, pieces: int, degree: int) -> np.ndarray:
+    """Chebyshev coefficients of a segment's fit -> those of its pieces.
+
+    Row k holds, for T_k(t) on the segment t in [-1, 1], the Chebyshev
+    coefficients of degree ``degree`` on each of ``pieces`` equal pieces
+    (piece by piece, in the piece's own variable in [-1, 1]): the
+    polynomial through its values at the degree + 1 Chebyshev points
+    cos(pi j / degree) of the piece, both piece ends included.  Shape
+    (fit_degree + 1, pieces * (degree + 1)).
+    """
+    theta = math.pi * np.arange(degree + 1) / degree
+    # the piece points in the segment variable; piece j spans
+    # [-1 + 2j / pieces, -1 + 2 (j + 1) / pieces]
+    t = (2.0 * np.arange(pieces)[:, None] + 1.0 + np.cos(theta)) / pieces - 1.0
+    values = np.cos(np.arccos(t)[:, :, None] * np.arange(fit_degree + 1))  # T_k(t): (piece, point, k)
+    # discrete cosine transform of the first kind: half weight at the
+    # ends, and c_0 and c_degree halved
+    interpolate = (2.0 / degree) * np.cos(np.outer(theta, np.arange(degree + 1)))
+    interpolate[[0, -1], :] *= 0.5
+    interpolate[:, [0, -1]] *= 0.5
+    return np.ascontiguousarray((values.transpose(2, 0, 1) @ interpolate).reshape(fit_degree + 1, -1))
+
+
+_REFIT = _refit_matrix(_FIT_DEGREE, _TABLE_PIECES, _TABLE_DEGREE)
 _CHEBYSHEV_TO_POWER = _chebyshev_to_power(_TABLE_DEGREE)
 
 
 def _chebyshev_segments(alpha: float, x_max: float) -> tuple[int, np.ndarray]:
-    """The segments of ``Coulomb1F1Table(alpha, x_max)`` and their Chebyshev coefficients.
+    """The segments of ``Coulomb1F1Table(alpha, x_max)``'s fit and their Chebyshev coefficients.
 
-    Returns the segment count and an (n_seg, degree + 1) complex array:
-    row s holds c_0 .. c_degree of sum_k c_k T_k(t) on segment s, with
+    Returns the segment count and an (n_seg, fit degree + 1) complex
+    array: row s holds c_0 .. c_8 of sum_k c_k T_k(t) on segment s, with
     t in [-1, 1] across it.
     """
     n_seg = math.ceil(x_max * max(1.0, abs(alpha)) / _TABLE_WIDTH)
-    m = 2 * (_TABLE_DEGREE + 1)
+    m = 2 * (_FIT_DEGREE + 1)
     theta = math.pi * (np.arange(m) + 0.5) / m
     left = np.arange(n_seg) * (x_max / n_seg)
     x = left[:, None] + (0.5 * x_max / n_seg) * (1.0 + np.cos(theta))
     f = kummer_1f1(complex(0.0, alpha), 1.0, 1j * x.ravel()).reshape(n_seg, m)
-    coef = (2.0 / m) * (f @ np.cos(np.outer(np.arange(_TABLE_DEGREE + 1), theta)).T)
+    coef = (2.0 / m) * (f @ np.cos(np.outer(np.arange(_FIT_DEGREE + 1), theta)).T)
     coef[:, 0] *= 0.5
     return n_seg, coef
+
+
+def _chebyshev_pieces(alpha: float, x_max: float) -> np.ndarray:
+    """The pieces of ``Coulomb1F1Table(alpha, x_max)`` and their Chebyshev coefficients.
+
+    Returns an (n_seg * ``_TABLE_PIECES``, ``_TABLE_DEGREE`` + 1) complex
+    array: row p holds the coefficients of piece p, the (p mod pieces)-th
+    piece of segment p // pieces, in its own variable t in [-1, 1].
+    """
+    n_seg, cheb = _chebyshev_segments(alpha, x_max)
+    return (cheb @ _REFIT).reshape(n_seg * _TABLE_PIECES, _TABLE_DEGREE + 1)
 
 
 def _fresh(name, shape, dtype):
@@ -328,11 +390,15 @@ class Coulomb1F1Table:
 
     The segments have width at most ``_TABLE_WIDTH`` / max(1, |alpha|):
     the function oscillates with unit frequency far out and varies on the
-    scale 1/|alpha| near x = 0.  Each segment's polynomial is the
-    Chebyshev projection of ``kummer_1f1`` values at 2 (degree + 1)
-    first-kind nodes, all computed in one batched call, and is stored in
-    the power basis of t in [-1, 1] for Horner's rule.  The table is
-    read-only after construction, so threads may share it.
+    scale 1/|alpha| near x = 0.  Each segment's degree-8 series is the
+    Chebyshev projection of ``kummer_1f1`` values at 2 (8 + 1) first-kind
+    nodes, all computed in one batched call.  It is then refit onto
+    ``_TABLE_PIECES`` equal pieces of degree ``_TABLE_DEGREE``, each
+    through the series at its Chebyshev points (ends included), within
+    4.3e-10 relative of the degree-8 series, and each piece is stored in
+    the power basis of t in [-1, 1] for Horner's rule: 96 bytes per
+    piece.  The table is read-only after construction, so threads may
+    share it.
     """
 
     def __init__(self, alpha: float, x_max: float):
@@ -344,10 +410,10 @@ class Coulomb1F1Table:
             raise ValueError(f"Coulomb1F1Table requires finite x_max > 0, got {x_max}")
         self.alpha = alpha
         self.x_max = x_max
-        n_seg, cheb = _chebyshev_segments(alpha, x_max)
-        self._n_seg = n_seg
-        self._inv_width = n_seg / x_max
-        # (power, segment): one gather of complex coefficients per Horner step
+        cheb = _chebyshev_pieces(alpha, x_max)
+        self._n_pieces = len(cheb)
+        self._inv_width = self._n_pieces / x_max
+        # (power, piece): one gather of complex coefficients per Horner step
         self._coef = np.ascontiguousarray((cheb @ _CHEBYSHEV_TO_POWER).T)
 
     def evaluate(self, x, out=None, work=None) -> np.ndarray:
@@ -370,7 +436,7 @@ class Coulomb1F1Table:
         coef = self._coef
         size = min(len(flat), _TABLE_CHUNK)
         work = _fresh if work is None else work
-        u = work("table_u", (size,), float)  # the argument, then t in [-1, 1] in its segment
+        u = work("table_u", (size,), float)  # the argument, then t in [-1, 1] in its piece
         seg = work("table_seg", (size,), np.intp)
         t2 = work("table_t2", (size, 2), float)  # t for the real and the imaginary part
         ck = work("table_ck", (size,), complex)
@@ -380,10 +446,10 @@ class Coulomb1F1Table:
             un, segn, ckn = u[:n], seg[:n], ck[:n]
             np.clip(flat[start:stop], 0.0, self.x_max, out=un)
             un *= self._inv_width
-            with np.errstate(invalid="ignore"):  # NaN: any segment, NaN value
+            with np.errstate(invalid="ignore"):  # NaN: any piece, NaN value
                 np.copyto(segn, un, casting="unsafe")
-            np.minimum(segn, self._n_seg - 1, out=segn)
-            # t in [-1, 1], the position inside the segment
+            np.minimum(segn, self._n_pieces - 1, out=segn)
+            # t in [-1, 1], the position inside the piece
             un -= segn
             un *= 2.0
             un -= 1.0

@@ -5,7 +5,8 @@ way: spinor expectation values, Bell-basis amplitudes of the pair state,
 the pure-state concurrence from the reduced purity, the hydrogen 1s wave
 function in position and momentum space, and the scalar Coulomb wave and
 electron-electron correlation factor that make up the 3C integrand, and
-a Clenshaw evaluation of a ``Coulomb1F1Table``'s Chebyshev fit.
+Clenshaw evaluations of a ``Coulomb1F1Table``'s degree-8 Chebyshev fit
+and of its refit pieces.
 ``hydrogen_1s_momentum`` evaluates the package's own ``_phi_1s_q2``, so
 its normalization tests check the formula that ``pwba`` uses.
 """
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from e2espin.amplitudes import _phi_1s_q2
-from e2espin.special import _chebyshev_segments, coulomb_norm, kummer_1f1
+from e2espin.special import _chebyshev_pieces, _chebyshev_segments, coulomb_norm, kummer_1f1
 from e2espin.spin import AmplitudePair
 
 
@@ -119,17 +120,27 @@ def ee_correlation(k_ab, r12) -> complex:
     return coulomb_norm(xi) * kummer_1f1(1j * xi, 1.0, -1j * (kmag * rmag + dot))
 
 
-def clenshaw_table(table, x) -> np.ndarray:
-    """``table``'s Chebyshev fit at real x, by Clenshaw's recurrence.
+def _clenshaw(cheb, x_max, x) -> np.ndarray:
+    """sum_k c_k T_k(t) on equal intervals of [0, x_max], row i of ``cheb`` on interval i.
 
-    Refits the table's segments and sums sum_k c_k T_k(t) in complex
-    arithmetic, on the segment and t that ``table.evaluate`` uses.
+    Sums in complex arithmetic, on the interval and t in [-1, 1] found
+    as ``Coulomb1F1Table.evaluate`` finds a piece and its t.
     """
-    n_seg, cheb = _chebyshev_segments(table.alpha, table.x_max)
-    u = np.clip(np.asarray(x, dtype=float), 0.0, table.x_max) * (n_seg / table.x_max)
-    seg = np.minimum(u.astype(np.intp), n_seg - 1)
+    n = len(cheb)
+    u = np.clip(np.asarray(x, dtype=float), 0.0, x_max) * (n / x_max)
+    seg = np.minimum(u.astype(np.intp), n - 1)
     t = 2.0 * (u - seg) - 1.0
     b1 = b2 = np.zeros(u.shape, dtype=complex)
     for k in range(cheb.shape[1] - 1, 0, -1):
         b1, b2 = cheb[seg, k] + 2.0 * t * b1 - b2, b1
     return cheb[seg, 0] + t * b1 - b2
+
+
+def clenshaw_table(table, x) -> np.ndarray:
+    """``table``'s refit pieces at real x, by Clenshaw's recurrence."""
+    return _clenshaw(_chebyshev_pieces(table.alpha, table.x_max), table.x_max, x)
+
+
+def clenshaw_fit(table, x) -> np.ndarray:
+    """``table``'s degree-8 fit, before the refit, at real x by Clenshaw's recurrence."""
+    return _clenshaw(_chebyshev_segments(table.alpha, table.x_max)[1], table.x_max, x)

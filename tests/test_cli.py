@@ -253,6 +253,28 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "configuration error: mc: mc seed must be nonnegative" in err
 
+    @pytest.mark.parametrize("target", ["grid_deg", "amplitude_grids"])
+    def test_out_of_memory_is_numeric_error(self, capsys, tmp_path, monkeypatch, target):
+        # a step_deg of 1e-9 over +-10 degrees asks numpy for 149 GiB; the
+        # allocation is faked, never made
+        import e2espin.scan as scan_mod
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB for an array with shape "
+                              "(20000000001,) and data type float64")
+        if target == "grid_deg":
+            monkeypatch.setattr(scan_mod.ScanConfig, "grid_deg", exhausted)
+        else:
+            monkeypatch.setattr(scan_mod, "amplitude_grids", exhausted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "pwba", "theta_min_deg": -10,
+                                   "theta_max_deg": 10, "step_deg": 1e-9}))
+        code, _, err = run_cli(capsys, "scan", "--config", str(cfg),
+                               "--output-dir", str(tmp_path / "out"))
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric/model error: out of memory: Unable to allocate 149. GiB")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_is_config_error(self, capsys, tmp_path, workers):
         code, _, err = run_cli(

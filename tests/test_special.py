@@ -16,7 +16,7 @@ from e2espin.special import (
     ln_gamma,
 )
 
-from oracles import clenshaw_table
+from oracles import clenshaw_fit, clenshaw_table
 
 
 def reference_1f1(a, b, z, terms=200):
@@ -184,13 +184,24 @@ class TestCoulomb1F1Table:
 
     @TABLES
     def test_horner_matches_clenshaw(self, alpha, x_max):
-        # the power basis against the Chebyshev recurrence on the same fit,
-        # segment ends and the clamped ends included
+        # the power basis against the Chebyshev recurrence on the same
+        # pieces, piece ends and the clamped ends included
         table = Coulomb1F1Table(alpha, x_max)
         x = np.concatenate([np.random.default_rng(19).uniform(0.0, x_max, 20_000),
-                            np.arange(table._n_seg + 1) / table._inv_width, [-1.0, 2.0 * x_max]])
+                            np.arange(table._n_pieces + 1) / table._inv_width,
+                            [-1.0, 2.0 * x_max]])
         exact = clenshaw_table(table, x)
         assert np.all(np.abs(table.evaluate(x) - exact) <= 1e-14 * np.abs(exact))
+
+    @pytest.mark.parametrize("alpha, x_max", TABLES.args[1] + [(-10.0, 2.8)])
+    def test_refit_stays_on_the_degree_8_fit(self, alpha, x_max):
+        # the refit pieces against the degree-8 series they were refit
+        # from, a strong-repulsion correlation table included
+        table = Coulomb1F1Table(alpha, x_max)
+        x = np.concatenate([np.random.default_rng(23).uniform(0.0, x_max, 20_000),
+                            np.arange(table._n_pieces + 1) / table._inv_width])
+        exact = clenshaw_fit(table, x)
+        assert np.all(np.abs(table.evaluate(x) - exact) <= 5e-10 * np.abs(exact))
 
     def test_values_do_not_depend_on_the_batch(self):
         # kummer_1f1's series stops on its whole batch; the table is elementwise
@@ -212,7 +223,7 @@ class TestCoulomb1F1Table:
         # a caller's output and scratch arrays against fresh ones, over more
         # than one chunk of arguments, the clamped ends and NaN included
         table = Coulomb1F1Table(0.8165, 34.3)
-        x = np.random.default_rng(5).uniform(-1.0, 35.0, (3, 7_000))
+        x = np.random.default_rng(5).uniform(-1.0, 35.0, (3, 12_000))
         x[1, :3] = [math.nan, math.inf, -math.inf]
         fresh = table.evaluate(x)
         out = np.full(x.shape, math.nan, dtype=complex)
