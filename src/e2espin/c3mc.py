@@ -51,30 +51,27 @@ radii and the density p1 p2.  The kernel from ``_kernel`` weighs them
 with a table of one row per mirror variant (direct, mirrored direct,
 exchange, mirrored exchange): the beam and the conjugated Coulomb waves
 at r1 and at r2, whose momenta give the e-e relative momentum.
-``c3_pair`` draws and weighs a block in slices of ``_SLICE`` samples,
-writes the weights into one (4, n) array of (Re t_d, Im t_d, Re t_e,
-Im t_e), counts non-finite weights as zeros and sums the blocks with
-``math.fsum``.  Sampler, kernel and reduction write every array into the
-block's ``_Workspace`` with ufunc ``out=`` arguments, in the operand
-order of the plain expressions, so a slice allocates no arrays of its
-own; each array handed to a reduction or a matrix product is
+A block is drawn and weighed in slices of ``_SLICE`` samples: the
+weights go into one (4, n) array of (Re t_d, Im t_d, Re t_e, Im t_e),
+non-finite weights count as zeros, and a point's block sums are added
+in block order with ``math.fsum``.  Sampler, kernel and reduction write
+every array into a ``_Workspace`` with ufunc ``out=`` arguments, in the
+operand order of the plain expressions, so a slice allocates no arrays
+of its own; each array handed to a reduction or a matrix product is
 C-contiguous, as a new array would be, so its summation order is too.
 
-The blocks of a point are independent, so ``c3_pair`` runs them on a
-pool of min(usable CPUs, blocks) threads (numpy releases the interpreter
-lock in its array loops) and reduces their sums in block order; a
-one-block point runs in the caller's thread.  The pool lives as long as
-the call, so no idle thread keeps its memory between points.  A block is
-computed only while it holds one of ``usable_cpus()`` process-wide
-slots, so scan workers running points at once still compute no more
-blocks than there are usable CPUs.  With its slot a block takes a
-workspace from a free list and returns it after its sums: the list
-grows only when every workspace is in use, so it holds at most one per
-usable CPU, each about 8.5 MiB at unequal sharing (6.5 MiB of slice
-arrays, 1.5 MiB of them the table scratch of one 32,768-argument chunk,
-and the 2 MiB block array).  A scan's points reuse the workspaces
-(``reusing_workspaces``), and they are freed when the last ``c3_pair``
-call or scan using them ends.
+The blocks are independent, so ``c3_pairs`` runs every (point, block)
+task of a call on one pool of min(workers, usable CPUs, tasks) threads
+(numpy releases the interpreter lock in its array loops), by default one
+per usable CPU; with one thread the tasks run in the caller's thread.
+A task builds its point's kernel (tens of microseconds, against tens of
+milliseconds for a block), so no task shares state with another but the
+table cache.  Each thread keeps one workspace for all its tasks, about
+8.5 MiB at unequal sharing (6.5 MiB of slice arrays, 1.5 MiB of them the
+table scratch of one 32,768-argument chunk, and the 2 MiB block array).
+The pool, its threads and their workspaces end with the call, so no
+idle thread or workspace keeps its memory between operations.
+``c3_pair`` is ``c3_pairs`` of one point.
 
 Every 1F1 factor has the form 1F1(i*alpha; 1; i*x) with real x >= 0, so
 the kernel reads it from a ``Coulomb1F1Table``: one per wave number
@@ -114,7 +111,6 @@ same bits.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
 import hashlib
 import math
@@ -134,8 +130,7 @@ from .special import Coulomb1F1Table, coulomb_norm
 # where c3mc looks it up; drop it when the benchmark next changes.
 from .special import kummer_1f1  # noqa: F401
 
-__all__ = ["PairEstimate", "c3_pair", "estimate_key", "reusing_workspaces", "usable_cpus",
-           "BLOCK_SIZE"]
+__all__ = ["PairEstimate", "c3_pair", "c3_pairs", "estimate_key", "usable_cpus", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 65536
 _SLICE = 8192  # samples weighed at once; no weight depends on it
@@ -367,7 +362,7 @@ def _draw(stream: np.random.Generator, n: int, r_max: float, ws=None):
 # energy sharing has the same wave |k|, and every pair of its points with
 # the same relative angle the same |k_ab|, so a scan builds each table
 # once: 256 tables hold the 180 relative angles of a 1-degree scan.  The
-# lock keeps scan threads that miss at once from building a table twice.
+# lock keeps block threads that miss at once from building a table twice.
 _table = functools.lru_cache(maxsize=256)(Coulomb1F1Table)
 _table_lock = threading.Lock()
 
@@ -557,95 +552,10 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# one slot per usable CPU, held while a block is computed: with scan
-# workers running points at once, still no more blocks than CPUs at a time
-_cpu_slots = threading.BoundedSemaphore(usable_cpus())
-# the workspaces of the blocks not in flight: a block takes one with its
-# slot, so the list grows only when every workspace is in use, to at most
-# one per slot.  It is emptied when the last ``reusing_workspaces`` ends.
-_free_workspaces: list[_Workspace] = []
-_reusers = 0
-_reusers_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def reusing_workspaces():
-    """While open, the blocks of ``c3_pair`` calls reuse one another's workspaces.
-
-    Every ``c3_pair`` call opens one for its blocks; a caller making many
-    calls (a scan) opens one around them, so that its points reuse the
-    workspaces too.  When the last one closes, the workspaces are freed,
-    so no idle workspace keeps its memory between operations.
-    """
-    global _reusers
-    with _reusers_lock:
-        _reusers += 1
-    try:
-        yield
-    finally:
-        with _reusers_lock:
-            _reusers -= 1
-            if not _reusers:
-                _free_workspaces.clear()
-
-
-@contextlib.contextmanager
-def _block_workspace():
-    """Holds one of ``_cpu_slots`` and yields a workspace no other block holds."""
-    with _cpu_slots:
-        try:
-            ws = _free_workspaces.pop()  # atomic, so no two blocks get one workspace
-        except IndexError:
-            ws = _Workspace()
-        try:
-            yield ws
-        finally:
-            _free_workspaces.append(ws)
-
-
-def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
-    """Estimate both 3C amplitudes on one mirror-symmetrized sample set."""
-    cfg = cfg.validated()
-    n_total = int(cfg.samples)
-    if not cfg.debug_free_limit and _kab_mag(kin) == 0.0:
-        # coincident outgoing momenta: the repulsive correlation factor
-        # suppresses the state completely and the T matrix vanishes
-        return PairEstimate(0.0 + 0.0j, 0.0 + 0.0j, np.zeros((4, 4)), n_total, 0)
-    kin = _canonical(kin)
-    weigh = _kernel(kin, cfg)
-    key = np.array([cfg.seed, _stream_word(kin)], dtype=np.uint64)
-    r_max = float(cfg.r_max)
-
-    def block_sums(blk):
-        n = min(BLOCK_SIZE, n_total - blk * BLOCK_SIZE)
-        with _block_workspace() as ws:
-            stream = _block_stream(key, blk)
-            # rows (Re t_d, Im t_d, Re t_e, Im t_e), written slice by slice
-            x = ws("block", (4, n))
-            for lo in range(0, n, _SLICE):
-                w = weigh(*_draw(stream, min(_SLICE, n - lo), r_max, ws), ws)
-                x[0::2, lo:lo + _SLICE] = w.real
-                x[1::2, lo:lo + _SLICE] = w.imag
-            finite = np.isfinite(x[0], out=ws("finite", (n,), bool))
-            for row in x[1:]:
-                finite &= np.isfinite(row, out=ws("finite_row", (n,), bool))
-            rejected = n - int(np.count_nonzero(finite))
-            if rejected:
-                np.copyto(x, 0.0, where=~finite)
-            return x.sum(axis=1), x @ x.T, rejected
-
-    blocks = range((n_total + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    width = min(usable_cpus(), len(blocks))
-    with reusing_workspaces():
-        if width == 1:
-            sums = list(map(block_sums, blocks))
-        else:
-            # the pool ends with the point, and its threads with it
-            with ThreadPoolExecutor(max_workers=width, thread_name_prefix="c3mc-block") as pool:
-                sums = list(pool.map(block_sums, blocks))
+def _estimate(sums, n_total: int) -> PairEstimate:
+    """A point's estimate from its blocks' (sums, second moments, rejected), in block order."""
     s1_blocks, s2_blocks, rejected = zip(*sums)
     n_rejected = sum(rejected)
-
     if n_rejected > _MAX_REJECT_FRACTION * n_total:
         raise ArithmeticError(
             f"3C Monte Carlo rejected {n_rejected} of {n_total} samples "
@@ -660,3 +570,62 @@ def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
     sample_cov = (s2 - n_total * np.outer(mean, mean)) / max(1, n_total - 1)
     return PairEstimate(complex(mean[0], mean[1]), complex(mean[2], mean[3]),
                         sample_cov / n_total, n_total, n_rejected)
+
+
+def c3_pairs(kins, cfg: McConfig, workers: int | None = None) -> list[PairEstimate]:
+    """Estimate both 3C amplitudes at each of ``kins``, in their order.
+
+    Every (point, block) task of the call runs on one pool of
+    min(``workers``, usable CPUs, tasks) threads, ``workers`` defaulting
+    to the usable CPUs; with one thread the tasks run in the caller's.
+    A point's estimate depends on neither the other points nor the pool.
+    """
+    cfg = cfg.validated()
+    n_total = int(cfg.samples)
+    r_max = float(cfg.r_max)
+    n_blocks = (n_total + BLOCK_SIZE - 1) // BLOCK_SIZE
+    # None for coincident outgoing momenta: the repulsive correlation
+    # factor suppresses the state completely and the T matrix vanishes
+    points = [None if not cfg.debug_free_limit and _kab_mag(kin) == 0.0 else _canonical(kin)
+              for kin in kins]
+    tasks = [(kin, blk) for kin in points if kin is not None for blk in range(n_blocks)]
+    local = threading.local()  # each thread's workspace, dropped with the call
+
+    def block_sums(task):
+        kin, blk = task
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = _Workspace()
+        weigh = _kernel(kin, cfg)
+        stream = _block_stream(np.array([cfg.seed, _stream_word(kin)], dtype=np.uint64), blk)
+        n = min(BLOCK_SIZE, n_total - blk * BLOCK_SIZE)
+        # rows (Re t_d, Im t_d, Re t_e, Im t_e), written slice by slice
+        x = ws("block", (4, n))
+        for lo in range(0, n, _SLICE):
+            w = weigh(*_draw(stream, min(_SLICE, n - lo), r_max, ws), ws)
+            x[0::2, lo:lo + _SLICE] = w.real
+            x[1::2, lo:lo + _SLICE] = w.imag
+        finite = np.isfinite(x[0], out=ws("finite", (n,), bool))
+        for row in x[1:]:
+            finite &= np.isfinite(row, out=ws("finite_row", (n,), bool))
+        rejected = n - int(np.count_nonzero(finite))
+        if rejected:
+            np.copyto(x, 0.0, where=~finite)
+        return x.sum(axis=1), x @ x.T, rejected
+
+    cpus = usable_cpus()
+    width = min(cpus if workers is None else workers, cpus, len(tasks))
+    if width <= 1:
+        sums = list(map(block_sums, tasks))
+    else:
+        # the pool ends with the call, and its threads and workspaces with it
+        with ThreadPoolExecutor(max_workers=width, thread_name_prefix="c3mc-block") as pool:
+            sums = list(pool.map(block_sums, tasks))
+    blocks = iter(sums)
+    return [PairEstimate(0j, 0j, np.zeros((4, 4)), n_total, 0) if kin is None
+            else _estimate([next(blocks) for _ in range(n_blocks)], n_total) for kin in points]
+
+
+def c3_pair(kin: Kinematics, cfg: McConfig) -> PairEstimate:
+    """Estimate both 3C amplitudes on one mirror-symmetrized sample set."""
+    return c3_pairs([kin], cfg)[0]

@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_scan)
     p_scan.add_argument("--output-dir", help="directory for records.csv and PGM maps")
     p_scan.add_argument("--workers", type=int,
-                        help="parallel grid workers (default: the usable CPUs)")
+                        help="threads that compute sample blocks (default: the usable CPUs)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_sim = sub.add_parser("bell-sim", help="simulated CHSH coincidence run at one point")

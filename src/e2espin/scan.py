@@ -43,22 +43,17 @@ At equal sharing about a quarter of the cells are estimated.  A filled
 cell's error is its source's, fully correlated: such cells are not
 independent samples.
 
-A 3C scan runs its points on up to ``workers`` threads (by default the
-usable CPUs, ``c3mc.usable_cpus``), capped by the estimated cells and
-the usable CPUs.  A point of more than one sample block
-(``c3mc.BLOCK_SIZE``) runs its blocks on a pool of its own, so it uses
-every usable CPU even with one worker; a one-block point runs in its
-worker's thread.  Either way a block is computed only in one of
-``c3mc``'s process-wide CPU slots, so however many workers run, no
-more blocks than usable CPUs compute at once, and the working memory
-stays within usable CPUs times one sliced block.
+A 3C scan hands its estimated cells to ``c3mc.c3_pairs`` in one call,
+which computes their sample blocks on one pool of up to ``workers``
+threads (by default the usable CPUs), capped by the usable CPUs and the
+blocks.  A thread reuses one workspace from block to block, so the
+working memory stays within the threads times one sliced block.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +191,10 @@ def _converted(data: dict, converters: dict, prefix: str = "") -> dict:
             for key, value in data.items()}
 
 
+# the most steps of an angle axis: 0.01 degrees over the full circle
+_MAX_STEPS = 36_000
+
+
 def parse_config(data: dict) -> ScanConfig:
     """Validate a configuration mapping; absent keys take the field defaults."""
     values = _converted(data, _CONVERTERS)
@@ -226,6 +225,9 @@ def parse_config(data: dict) -> ScanConfig:
              "theta range must satisfy -180 <= theta_min_deg < theta_max_deg <= 180")
     _require(cfg.step_deg > 0.0, f"step_deg must be positive, got {cfg.step_deg}")
     span = cfg.theta_max_deg - cfg.theta_min_deg
+    _require(span / cfg.step_deg < _MAX_STEPS + 0.5,
+             f"step_deg {cfg.step_deg} gives more than {_MAX_STEPS + 1} angles per axis "
+             f"(0.01 degrees over the full circle)")
     n = round(span / cfg.step_deg)
     _require(n >= 1 and abs(n * cfg.step_deg - span) < 1e-9,
              "step_deg must divide the theta range")
@@ -267,7 +269,8 @@ def resolve_polarizations(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
 _RELABELED = [2, 3, 0, 1]
 
 
-def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, workers: int):
+def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray,
+                       workers: int | None):
     """Per-point 3C amplitudes and TDCS-gradient covariances.
 
     Cells with equal ``c3mc.estimate_key`` share one estimate: the first
@@ -282,17 +285,7 @@ def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray, 
         key, swapped = c3mc.estimate_key(kin)
         groups.setdefault(key, (kin, swapped, []))[2].append((cell, swapped))
 
-    def do_point(group):
-        return c3mc.c3_pair(group[0], cfg.mc)
-
-    # the pool starts a thread per group up to this
-    workers = min(workers, len(groups), c3mc.usable_cpus())
-    with c3mc.reusing_workspaces():  # a one-block point reuses the last one's arrays
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                estimates = list(pool.map(do_point, groups.values()))
-        else:
-            estimates = [do_point(group) for group in groups.values()]
+    estimates = c3mc.c3_pairs([kin for kin, _, _ in groups.values()], cfg.mc, workers)
     td = np.empty((len(ta_rad), len(tb_rad)), dtype=complex)
     te = np.empty_like(td)
     covs = np.empty(td.shape + (4, 4))
@@ -326,8 +319,8 @@ def amplitude_grids(cfg: ScanConfig, workers: int | None = None, theta_a_deg=Non
     estimate, with t_d and t_e exchanged and the covariance reordered
     where the electrons are listed in the other order; the fill is bit
     for bit what estimating the filled cell gives, and an equal-sharing
-    grid estimates about a quarter of its cells.  3C runs its points on
-    ``workers`` threads, by default the usable CPUs.  The covariance
+    grid estimates about a quarter of its cells.  3C computes its sample
+    blocks on ``workers`` threads (``c3mc.c3_pairs``).  The covariance
     array is None for the analytic Born model.  The grids do not depend
     on the polarization scenario, so one evaluation can feed several
     scenario assemblies.
@@ -340,7 +333,7 @@ def amplitude_grids(cfg: ScanConfig, workers: int | None = None, theta_a_deg=Non
         td, te = pwba_grid(e0, eb, et, ta, tb)
         return td, te, None
     if cfg.model == "c3":
-        return _c3_amplitude_grid(cfg, ta, tb, c3mc.usable_cpus() if workers is None else workers)
+        return _c3_amplitude_grid(cfg, ta, tb, workers)
     raise ValueError(f"unknown amplitude model {cfg.model!r}")
 
 

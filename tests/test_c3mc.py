@@ -1,10 +1,10 @@
-import contextlib
 import hashlib
 import math
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import mpmath
@@ -517,10 +517,9 @@ class TestCoulombTables:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """``cpus(n)``: c3mc sees n usable CPUs, with n slots to compute blocks in."""
+    """``cpus(n)``: c3mc sees n usable CPUs, so a call computes at most n blocks at once."""
     def use(n):
         monkeypatch.setattr(c3mc, "usable_cpus", lambda: n)
-        monkeypatch.setattr(c3mc, "_cpu_slots", threading.BoundedSemaphore(n))
     return use
 
 
@@ -561,8 +560,9 @@ class TestBlockPool:
         pools = []
 
         class RecordingPool:
-            def __init__(self, max_workers, thread_name_prefix=""):
+            def __init__(self, max_workers, thread_name_prefix):
                 self.width, self.maps = max_workers, []
+                assert thread_name_prefix == "c3mc-block"
                 pools.append(self)
 
             def __enter__(self):
@@ -571,9 +571,10 @@ class TestBlockPool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                self.maps.append(list(items))
-                return map(fn, self.maps[-1])
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                self.maps.append([blk for _, blk in tasks])  # (point, block) tasks
+                return map(fn, tasks)
 
         monkeypatch.setattr(c3mc, "ThreadPoolExecutor", RecordingPool)
         cpus(n_cpus)
@@ -585,9 +586,9 @@ class TestBlockPool:
         assert [p.maps for p in pools] == ([] if n_cpus == 1 else [[[0, 1, 2, 3]], [[0, 1]]])
 
     def test_blocks_run_on_at_most_one_thread_per_cpu(self, cpus, monkeypatch):
-        # 8 scan workers, 4 two-block points, 2 usable CPUs: the blocks run
-        # on pool threads, never more than 2 at once, and no pool thread
-        # outlives its point
+        # 8 workers, 4 two-block points, 2 usable CPUs: the blocks run on
+        # pool threads, never more than 2 at once, and no pool thread
+        # outlives the call
         active, seen, lock = [0, 0], set(), threading.Lock()
 
         def kernel(kin, cfg):
@@ -634,46 +635,45 @@ class TestBlockPool:
         assert peak < 32 * 2**20, peak / 2**20
 
     def test_peak_memory_of_a_warm_point(self):
-        # a one-block point whose tables and workspace are warm allocates no
-        # slice arrays (0.13 MiB measured; with fresh slice arrays it peaked
-        # at 7.2 MiB)
+        # one worker computes 8 one-block points in one workspace, so they
+        # peak within 0.5 MiB of one point (with fresh slice arrays a
+        # one-block point peaked at 7.2 MiB)
         cfg = McConfig(samples=c3mc.BLOCK_SIZE, seed=4)
-        with c3mc.reusing_workspaces():
-            c3mc.c3_pair(C3_POINT, cfg)
+        kins = [build_coplanar(C3_POINT.e0, C3_POINT.e_b, C3_POINT.theta_a,
+                               math.radians(-60.0 - 10.0 * i), C3_POINT.e_t) for i in range(8)]
+        c3mc.c3_pairs(kins, replace(cfg, samples=2_000), workers=1)  # the tables
+        peaks = []
+        for points in (kins[:1], kins):
             tracemalloc.start()
             try:
-                c3mc.c3_pair(C3_POINT, cfg)
-                peak = tracemalloc.get_traced_memory()[1]
+                c3mc.c3_pairs(points, cfg, workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peak < 2**19, peak / 2**20
+        assert peaks[1] - peaks[0] < 2**19, [peak / 2**20 for peak in peaks]
 
     def test_no_two_blocks_share_a_workspace(self, cpus, monkeypatch):
-        # 2 slots, 2 scan workers and a 2-thread block pool per point: each
-        # point's two blocks (8 slices and 1) run beside the other point's
-        held, counts, lock = set(), [0, 0], threading.Lock()
-        take = c3mc._block_workspace
+        # 2 usable CPUs and 3 workers: 5 two-block points (8 slices and 1)
+        # on a 2-thread pool, each thread in a workspace of its own
+        made, lock = [], threading.Lock()
 
-        @contextlib.contextmanager
-        def checked():
-            with take() as ws:
+        class Recorded(c3mc._Workspace):
+            def __init__(self):
+                super().__init__()
                 with lock:
-                    assert id(ws) not in held
-                    held.add(id(ws))
-                    counts[0] += 1
-                    counts[1] = max(counts[1], len(held) + len(c3mc._free_workspaces))
-                try:
-                    yield ws
-                finally:
-                    with lock:
-                        held.discard(id(ws))
+                    made.append((weakref.ref(self), threading.current_thread().name))
 
-        monkeypatch.setattr(c3mc, "_block_workspace", checked)
+        monkeypatch.setattr(c3mc, "_Workspace", Recorded)
+        blocks = []  # one stream per block computed
+        real_stream = c3mc._block_stream
+        monkeypatch.setattr(c3mc, "_block_stream", lambda *a: blocks.append(a) or real_stream(*a))
         cfg = parse_config({"model": "c3", "eb_ev": 5.0, "theta_min_deg": -90.0,
                             "theta_max_deg": 90.0, "step_deg": 90.0,
                             "mc": {"samples": 70_000, "seed": 5}})
         cpus(1)
         alone = amplitude_grids(cfg, workers=1)
+        assert [name for _, name in made] == [threading.current_thread().name]
+        made.clear()
         cpus(2)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -683,9 +683,53 @@ class TestBlockPool:
             sys.setswitchinterval(switch)
         for a, b in zip(alone, pooled):
             assert a.tobytes() == b.tobytes()
-        # at most one workspace per slot, and none kept after the grid
-        assert counts[0] > 2 and counts[1] <= 2
-        assert c3mc._free_workspaces == []
+        # at most one workspace per thread, and none kept after the grid
+        names = [name for _, name in made]
+        assert len(blocks) > 2 and 0 < len(names) <= 2 and len(set(names)) == len(names)
+        assert all(name.startswith("c3mc-block") for name in names)
+        assert all(ref() is None for ref, _ in made)
+
+
+class TestPairs:
+    # coincident, relabeled, mirrored, duplicate and unequal-sharing points
+    POINTS = [kin_at(30.0, 30.0), kin_at(40.0, -70.0), kin_at(-70.0, 40.0),
+              kin_at(70.0, -40.0), kin_at(40.0, -70.0), kin_at(20.0, -60.0, 0.5)]
+
+    @pytest.mark.parametrize("samples", [20_000, 2 * c3mc.BLOCK_SIZE + 1_000])  # 1 and 3 blocks
+    def test_points_keep_their_own_bits_in_order(self, cpus, samples):
+        cfg = McConfig(samples=samples, seed=6)
+        alone = [c3mc.c3_pair(kin, cfg) for kin in self.POINTS]
+        assert alone[0].t_d == alone[0].t_e == 0.0 and not alone[0].cov.any()
+        assert alone[1].t_d == alone[2].t_e and alone[1].t_d != alone[1].t_e
+        cpus(3)
+        for workers in (1, 2, 3):
+            together = c3mc.c3_pairs(self.POINTS, cfg, workers=workers)
+            assert len(together) == len(alone)
+            for a, b in zip(together, alone):
+                assert same_estimate(a, b), workers
+            assert not [t for t in threading.enumerate() if t.name.startswith("c3mc-block")]
+
+    def test_a_rejecting_point_raises(self, monkeypatch):
+        # every weight of one point's blocks is NaN; the others are healthy
+        bad = c3mc._stream_word(c3mc._canonical(kin_at(45.0, -60.0)))
+
+        def kernel(kin, cfg):
+            weigh = REAL_KERNEL(kin, cfg)
+            if c3mc._stream_word(kin) != bad:
+                return weigh
+
+            def poisoned(*sample):
+                w = weigh(*sample)
+                w[...] = complex(math.nan, math.nan)
+                return w
+            return poisoned
+
+        monkeypatch.setattr(c3mc, "_kernel", kernel)
+        kins = [kin_at(40.0, -70.0), kin_at(45.0, -60.0), kin_at(30.0, 80.0)]
+        with pytest.raises(ArithmeticError, match="rejected 5000 of 5000"):
+            c3mc.c3_pairs(kins, McConfig(samples=5_000, seed=3), workers=2)
+        assert not [t for t in threading.enumerate() if t.name.startswith("c3mc-block")]
+        c3mc.c3_pairs(kins[::2], McConfig(samples=5_000, seed=3), workers=2)
 
 
 def same_estimate(a, b) -> bool:

@@ -168,8 +168,8 @@ class TestScanCommand:
     def test_output_dir_is_made_before_any_point_is_computed(self, capsys, tmp_path,
                                                               monkeypatch):
         calls = []
-        real = c3mc.c3_pair
-        monkeypatch.setattr(c3mc, "c3_pair", lambda *a: calls.append(a) or real(*a))
+        real = c3mc.c3_pairs
+        monkeypatch.setattr(c3mc, "c3_pairs", lambda *a: calls.append(a) or real(*a))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "c3", "step_deg": 180.0, "mc": {"samples": 1000}}))
         blocker = tmp_path / "file"
@@ -255,8 +255,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("target", ["grid_deg", "amplitude_grids"])
     def test_out_of_memory_is_numeric_error(self, capsys, tmp_path, monkeypatch, target):
-        # a step_deg of 1e-9 over +-10 degrees asks numpy for 149 GiB; the
-        # allocation is faked, never made
+        # numpy's message for a step_deg of 1e-9 over +-10 degrees (149 GiB);
+        # the allocation is faked, never made, on a grid that parse_config
+        # accepts
         import e2espin.scan as scan_mod
 
         def exhausted(*args, **kwargs):
@@ -268,12 +269,25 @@ class TestExitCodes:
             monkeypatch.setattr(scan_mod, "amplitude_grids", exhausted)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "pwba", "theta_min_deg": -10,
-                                   "theta_max_deg": 10, "step_deg": 1e-9}))
+                                   "theta_max_deg": 10, "step_deg": 0.001}))
         code, _, err = run_cli(capsys, "scan", "--config", str(cfg),
                                "--output-dir", str(tmp_path / "out"))
         assert code == EXIT_NUMERIC
         assert err.startswith("numeric/model error: out of memory: Unable to allocate 149. GiB")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["scan", "point"])
+    def test_too_fine_a_grid_is_config_error(self, capsys, tmp_path, command):
+        # +-10 degrees at 1e-9 would be 2e10 angles per axis; nothing is allocated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "pwba", "theta_min_deg": -10,
+                                   "theta_max_deg": 10, "step_deg": 1e-9}))
+        argv = (["scan", "--output-dir", str(tmp_path / "out")] if command == "scan"
+                else ["point", "--theta-a", "45", "--theta-b", "-45"])
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("configuration error: step_deg 1e-09 gives more than 36001 angles")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_is_config_error(self, capsys, tmp_path, workers):

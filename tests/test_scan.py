@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from e2espin import c3mc, scan, special
+from e2espin import c3mc, special
 from e2espin.amplitudes import HYDROGEN_ET_EV, McConfig
 from e2espin.bell import TSIRELSON_BOUND, chsh_expectation
 from e2espin.entanglement import concurrence_wootters, entanglement_of_formation
@@ -81,6 +81,14 @@ class TestConfigParsing:
     def test_step_must_divide_range(self):
         with pytest.raises(ConfigError, match="divide"):
             parse_config({"step_deg": 7.0})
+
+    def test_at_most_36001_angles_per_axis(self):
+        # 0.01 degrees over the full circle is the finest grid
+        assert len(parse_config({"step_deg": 0.01}).grid_deg()) == 36_001
+        for data in ({"step_deg": 0.005}, {"step_deg": 1e-9}, {"step_deg": 5e-324},
+                     {"theta_min_deg": -10.0, "theta_max_deg": 10.0, "step_deg": 1e-9}):
+            with pytest.raises(ConfigError, match=r"^step_deg .* more than 36001 angles per axis"):
+                parse_config(data)
 
     def test_scenario_value(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -343,8 +351,9 @@ class TestRunScanC3:
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
-    # the 2x2 equal-sharing grid estimates 3 cells (i <= j), so 3 caps the pool;
-    # only 2 CPUs, fewer than the estimated cells, make the CPU count the cap
+    # the 2x2 equal-sharing grid estimates 3 cells (i <= j), of which only
+    # (-90, 0) is not coincident: its 3 blocks are the tasks, so 3 caps the
+    # pool; only 2 CPUs, fewer than the tasks, make the CPU count the cap
     @pytest.mark.parametrize(
         "workers, cpus, expected",
         [(100_000, 64, 3), (100_000, 3, 3), (100_000, 2, 2), (2, 64, 2)],
@@ -354,7 +363,7 @@ class TestRunScanC3:
         pools = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, thread_name_prefix):
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -366,10 +375,11 @@ class TestRunScanC3:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(scan, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(c3mc, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(c3mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         cfg = parse_config({"model": "c3", "theta_min_deg": -90.0, "theta_max_deg": 0.0,
-                            "step_deg": 90.0, "mc": {"samples": 2000, "seed": 5}})
+                            "step_deg": 90.0,
+                            "mc": {"samples": 2 * c3mc.BLOCK_SIZE + 2000, "seed": 5}})
         td, te, covs = amplitude_grids(cfg, workers=workers)
         assert pools == [expected]
         serial = amplitude_grids(cfg, workers=1)
@@ -447,6 +457,11 @@ def recording(monkeypatch, module, name, pause=0.0) -> list:
     return calls
 
 
+def points_of(calls) -> list:
+    """The kinematics passed to the recorded ``c3mc.c3_pairs`` calls, in order."""
+    return [kin for kins, *_ in calls for kin in kins]
+
+
 # the benchmark's c3_scan grid: 54.4 eV equal sharing, 11 x 11 angles
 C3_SCAN = {"model": "c3", "e0_ev": 54.4, "theta_min_deg": -150.0, "theta_max_deg": 150.0,
            "step_deg": 30.0, "mc": {"samples": 20_000, "seed": 0}}
@@ -476,16 +491,17 @@ class TestRelabelingFill:
                 assert same_bits(pcovs[0, 0], covs[i, j])
 
     def test_c3_scan_estimates_half_and_builds_a_table_per_relative_angle(self, monkeypatch):
-        pairs = recording(monkeypatch, c3mc, "c3_pair")
-        # the pause makes both scan threads miss the empty cache at once
+        calls = recording(monkeypatch, c3mc, "c3_pairs")
+        # the pause makes both block threads miss the empty cache at once
         kummer = recording(monkeypatch, special, "kummer_1f1", pause=0.01)
         c3mc._table.cache_clear()
         amplitude_grids(parse_config(C3_SCAN), workers=2)
+        pairs = points_of(calls)
         # (121 + 11 + 1 + 11) / 4 orbits of relabeling and reflection, the
         # 6 orbits of the coincident diagonal included
         assert len(pairs) == 36
         computed = sum(float((kin.k_a - kin.k_b) @ (kin.k_a - kin.k_b)) > 0.0
-                       for kin, _ in pairs)
+                       for kin in pairs)
         assert computed == 30
         # one wave table for them all, and a correlation table for each of
         # the relative angles 30, 60, ..., 180 degrees
@@ -503,37 +519,37 @@ class TestRelabelingFill:
         if cfg.eb_ev != 5.0:
             assert 2 * Decimal(repr(cfg.eb_ev)) == Decimal(repr(cfg.e0_ev)) + Decimal(
                 repr(HYDROGEN_ET_EV))
-        pairs = recording(monkeypatch, c3mc, "c3_pair")
+        pairs = recording(monkeypatch, c3mc, "c3_pairs")
         amplitude_grids(cfg)
-        assert len(pairs) == calls
+        assert len(points_of(pairs)) == calls
 
     def test_different_axes_share_relabeled_cells(self, monkeypatch):
         # {-150, -120, -90} against its reverse: 9 cells, 3 pairs of them relabeled
         cfg = parse_config({**C3_SCAN, "mc": {"samples": 1000}})
         thetas = cfg.grid_deg()[:3]
-        pairs = recording(monkeypatch, c3mc, "c3_pair")
+        pairs = recording(monkeypatch, c3mc, "c3_pairs")
         amplitude_grids(cfg, theta_a_deg=thetas, theta_b_deg=thetas[::-1])
-        assert len(pairs) == 6
+        assert len(points_of(pairs)) == 6
 
     def test_grid_with_180_but_not_minus_180_fills_mirror_images(self, monkeypatch):
         # -150 .. 180 deg: 12 * 13 / 2 unordered pairs, of which the reflection
         # (180 staying 180) fixes {a, -a} for a in 30 .. 150, {0, 0},
         # {180, 180} and {0, 180}: (78 + 8) / 2 keys
         cfg = parse_config({**C3_SCAN, "theta_max_deg": 180.0, "mc": {"samples": 1000}})
-        pairs = recording(monkeypatch, c3mc, "c3_pair")
+        pairs = recording(monkeypatch, c3mc, "c3_pairs")
         amplitude_grids(cfg)
-        assert len(pairs) == 43
+        assert len(points_of(pairs)) == 43
 
     @pytest.mark.parametrize("eb_ev, words", [(None, 8191), (5.0, 16202)])
     def test_default_grid_estimates_one_point_per_stream_word(self, monkeypatch, eb_ev, words):
         # the orbit counts of test_c3mc's test_default_grid_has_no_repeated_word
         estimated = []
 
-        def stub(kin, mc):
-            estimated.append(c3mc._stream_word(c3mc._canonical(kin)))
-            return c3mc.PairEstimate(0j, 0j, np.zeros((4, 4)), mc.samples, 0)
+        def stub(kins, mc, workers=None):
+            estimated.extend(c3mc._stream_word(c3mc._canonical(kin)) for kin in kins)
+            return [c3mc.PairEstimate(0j, 0j, np.zeros((4, 4)), mc.samples, 0) for _ in kins]
 
-        monkeypatch.setattr(c3mc, "c3_pair", stub)
+        monkeypatch.setattr(c3mc, "c3_pairs", stub)
         amplitude_grids(parse_config({"model": "c3", "eb_ev": eb_ev}), workers=1)
         assert len(estimated) == len(set(estimated)) == words
 
