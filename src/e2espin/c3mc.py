@@ -60,6 +60,17 @@ operand order of the plain expressions, so a slice allocates no arrays
 of its own; each array handed to a reduction or a matrix product is
 C-contiguous, as a new array would be, so its summation order is too.
 
+Sines and cosines come from numpy's ``tan``, which runs in SIMD lanes
+where its complex ``exp``, ``cos`` and ``sin`` run as scalar code:
+``_unit_circle`` turns t = tan(theta/2) into cos theta = (1 - t^2) /
+(1 + t^2) and sin theta = 2t / (1 + t^2), within a few 1e-16 of
+e^{i theta}.  The plane-wave phases e^{i ph} take tan(ph/2), the
+sampler's azimuths phi = 2 pi u take tan(pi u), and the window takes
+cos^2 x = 1 / (1 + tan^2 x).  All of it is elementwise, so a value
+depends only on its own argument; but numpy rounds ``exp``, ``log1p``
+and ``tan`` differently in its AVX-512 and its AVX2 loops, so the last
+bits of an estimate depend on the CPU numpy dispatches to.
+
 The blocks are independent, so ``c3_pairs`` runs every (point, block)
 task of a call on one pool of min(workers, usable CPUs, tasks) threads
 (numpy releases the interpreter lock in its array loops), by default one
@@ -138,7 +149,6 @@ _DRAWS = 10  # uniforms consumed per sample; fixed for stream stability
 _LAMBDA1 = 1.0  # rate of the exponential projectile component
 _LAMBDA2 = 1.0
 _MAX_REJECT_FRACTION = 1e-3
-_TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
 _BOUND_NORM = math.sqrt(1.0 / math.pi)  # hydrogen 1s, Z = 1
 
@@ -286,8 +296,29 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-def _spherical(rmag, cos_t, phi, out, ws):
-    """Writes rmag (sin_t cos(phi), sin_t sin(phi), cos_t) into the (n, 3) ``out``."""
+def _unit_circle(t, cos_out, sin_out):
+    """Writes cos(theta) and sin(theta) of t = tan(theta / 2) into ``cos_out`` and ``sin_out``.
+
+    cos = (1 - t^2) / (1 + t^2) and sin = 2 t / (1 + t^2): no range
+    reduction of its own, as ``np.tan`` reduces theta / 2.  Elementwise,
+    so a value depends only on its own t.  ``sin_out`` holds 1 + t^2
+    on the way, so ``t`` must share no memory with either output.
+    """
+    np.multiply(t, t, out=cos_out)
+    np.add(1.0, cos_out, out=sin_out)
+    np.subtract(1.0, cos_out, out=cos_out)
+    cos_out /= sin_out
+    # 2 (t / s) is 2 t / s: doubling is exact
+    np.divide(t, sin_out, out=sin_out)
+    sin_out *= 2.0
+
+
+def _spherical(rmag, cos_t, tan_half_phi, out, ws):
+    """Writes rmag (sin_t cos(phi), sin_t sin(phi), cos_t) into the (n, 3) ``out``.
+
+    phi comes as tan(phi / 2), so cos(phi) and sin(phi) are
+    ``_unit_circle``'s rational forms, with no cos or sin call.
+    """
     n = len(rmag)
     rsin = ws("rsin", (n,))  # rmag sin_t
     np.multiply(cos_t, cos_t, out=rsin)
@@ -295,9 +326,9 @@ def _spherical(rmag, cos_t, phi, out, ws):
     np.clip(rsin, 0.0, None, out=rsin)
     np.sqrt(rsin, out=rsin)
     np.multiply(rmag, rsin, out=rsin)
-    trig = ws("trig", (n,))
-    np.multiply(rsin, np.cos(phi, out=trig), out=out[:, 0])
-    np.multiply(rsin, np.sin(phi, out=trig), out=out[:, 1])
+    _unit_circle(tan_half_phi, out[:, 0], out[:, 1])
+    out[:, 0] *= rsin
+    out[:, 1] *= rsin
     np.multiply(rmag, cos_t, out=out[:, 2])
     return out
 
@@ -329,12 +360,13 @@ def _draw(stream: np.random.Generator, n: int, r_max: float, ws=None):
     """
     ws = _Workspace() if ws is None else ws
     u = stream.random(out=ws("u", (n, _DRAWS)))
-    t, cos_t, phi = ws("t", (n,)), ws("cos_t", (n,)), ws("phi", (n,))
+    t, cos_t, tan_half_phi = ws("t", (n,)), ws("cos_t", (n,)), ws("tan_half_phi", (n,))
 
     def direction(c):
-        """cos(theta) = 2 u_c - 1 and phi = 2 pi u_{c+1}."""
+        """cos(theta) = 2 u_c - 1 and tan(phi / 2) = tan(pi u_{c+1}), phi = 2 pi u_{c+1}."""
         np.subtract(np.multiply(2.0, u[:, c], out=cos_t), 1.0, out=cos_t)
-        return cos_t, np.multiply(_TWO_PI, u[:, c + 1], out=phi)
+        np.multiply(math.pi, u[:, c + 1], out=tan_half_phi)
+        return cos_t, np.tan(tan_half_phi, out=tan_half_phi)
 
     r2mag = _exponential_radius(u, (0, 1, 2), _LAMBDA2, ws("r2mag", (n,)), ws)
     r2 = _spherical(r2mag, *direction(3), ws("r2", (n, 3)), ws)
@@ -493,7 +525,10 @@ def _kernel(kin: Kinematics, cfg: McConfig):
             window *= 2.0
             np.clip(window, 0.0, 1.0, out=window)
             np.multiply(0.5 * math.pi, window, out=window)
-            np.square(np.cos(window, out=window), out=window)
+            # cos^2 = 1 / (1 + tan^2)
+            np.square(np.tan(window, out=window), out=window)
+            window += 1.0
+            np.divide(1.0, window, out=window)
             pot *= window
             pot *= np.exp(np.negative(r2mag, out=t), out=t)
             common = np.multiply(scale * _BOUND_NORM, pot, out=ws("common", (n,), complex))
@@ -507,8 +542,10 @@ def _kernel(kin: Kinematics, cfg: McConfig):
                 np.matmul(r1, k, out=row)
                 row -= np.matmul(r1, k1, out=t)
                 row -= np.matmul(r2, k2, out=t)
+            # the unit phases e^{i ph} from tan(ph / 2)
             g = ws("g", (4, n), complex)
-            np.exp(np.multiply(1j, ph, out=g), out=g)
+            ph *= 0.5
+            _unit_circle(np.tan(ph, out=ph), g.real, g.imag)
             if corr is not None:
                 # the waves' 1F1 factors at |k||r| + k.r, at r1 and r2
                 x = ws("arguments", (2 * m, n))

@@ -351,6 +351,47 @@ class TestIntegrandOracle:
 
 
 
+def unit_phase(ph, cos_out, sin_out):
+    """cos(ph) and sin(ph) as ``weigh`` takes them: ``_unit_circle`` of tan(ph / 2)."""
+    c3mc._unit_circle(np.tan(0.5 * ph), cos_out, sin_out)
+
+
+class TestUnitCircle:
+    def test_unit_phase_matches_mpmath(self):
+        ph = np.random.default_rng(29).uniform(-100.0, 100.0, 2_000)
+        g = np.empty(len(ph), complex)
+        unit_phase(ph, g.real, g.imag)
+        with mpmath.workdps(30):
+            exact = [complex(mpmath.expj(mpmath.mpf(float(p)))) for p in ph]
+        err = max(max(abs(z.real - e.real), abs(z.imag - e.imag)) for z, e in zip(g, exact))
+        assert err <= 5e-16, err
+
+    def test_drawn_directions_have_unit_norm(self):
+        # |r| / |r| in extended precision, where the host has it
+        stream = c3mc._block_stream(np.array([29, 1], dtype=np.uint64), 0)
+        r1, r1mag, r2, r2mag, _ = c3mc._draw(stream, 20_000, McConfig().r_max)
+        for r, rmag in ((r1, r1mag), (r2, r2mag)):
+            x = r.astype(np.longdouble)
+            norm = np.sqrt((x * x).sum(axis=1)) / rmag.astype(np.longdouble)
+            assert float(np.max(np.abs(norm - 1.0))) <= 4e-16
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_values_do_not_depend_on_the_batch(self, strided):
+        ph = np.random.default_rng(30).uniform(-100.0, 100.0, 64)
+        ref_cos, ref_sin = np.empty(len(ph)), np.empty(len(ph))
+        unit_phase(ph, ref_cos, ref_sin)
+        for start in range(8):
+            for n in range(1, 34):
+                if strided:  # the real and imaginary parts of a complex array
+                    g = np.empty(n, complex)
+                    c, s = g.real, g.imag
+                else:
+                    c, s = np.empty(n), np.empty(n)
+                unit_phase(ph[start:start + n], c, s)
+                assert c.tobytes() == ref_cos[start:start + n].tobytes(), (start, n)
+                assert s.tobytes() == ref_sin[start:start + n].tobytes(), (start, n)
+
+
 def count_lookups(monkeypatch):
     """Count the arguments of every ``Coulomb1F1Table.evaluate`` call."""
     count = [0]
@@ -732,6 +773,19 @@ class TestPairs:
         c3mc.c3_pairs(kins[::2], McConfig(samples=5_000, seed=3), workers=2)
 
 
+def numpy_simd_target() -> str:
+    """The x86 target of numpy's dispatched math loops: "X86_V4" (AVX-512), "X86_V3" (AVX2) or older.
+
+    ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` turns the
+    AVX-512 loops off on a CPU that has them.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return next((t for t in ("X86_V4", "X86_V3") if __cpu_features__.get(t)), "older")
+
+
 def same_estimate(a, b) -> bool:
     return (np.asarray(a.t_d).tobytes() == np.asarray(b.t_d).tobytes()
             and np.asarray(a.t_e).tobytes() == np.asarray(b.t_e).tobytes()
@@ -793,21 +847,32 @@ class TestReflection:
         relabeled = replace(y, t_d=y.t_e, t_e=y.t_d, cov=y.cov[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])])
         assert same_estimate(x, relabeled)
 
+    # numpy's exp, log1p and tan loops round differently on each CPU target,
+    # so the c3_point bits depend on it: (t_d, t_e) in hex and the covariance
+    # hash for numpy's AVX-512 loops and for its X86_V3 (AVX2) ones
+    CANONICAL_BITS = {
+        "X86_V4": (["-0x1.355aa42d46aa1p+6", "-0x1.11ceb478df342p+6",
+                    "-0x1.878dc225220f7p+3", "-0x1.d8352a9763f87p+1"],
+                   "194a2f4d6efa639df9a43bd22f6f284a"),
+        "X86_V3": (["-0x1.355aa42d46aa1p+6", "-0x1.11ceb478df342p+6",
+                    "-0x1.878dc225220f7p+3", "-0x1.d8352a9763f84p+1"],
+                   "0ecbe356f91e1768064aa4376e9eac81"),
+    }
+
     def test_canonical_point_keeps_its_bits(self):
         # the benchmark's c3_point config: its word is the one it had before
         # mirror images shared a stream
         assert c3mc._stream_word(C3_POINT) == 7397496058057166766
         est = c3mc.c3_pair(C3_POINT, McConfig(samples=1_000_000, seed=0))
-        assert [x.hex() for x in (est.t_d.real, est.t_d.imag, est.t_e.real, est.t_e.imag)] == [
-            "-0x1.355aa42d46a9fp+6", "-0x1.11ceb478df342p+6",
-            "-0x1.878dc225220f6p+3", "-0x1.d8352a9763f7fp+1"]
-        assert hashlib.blake2b(est.cov.tobytes(), digest_size=16).hexdigest() == (
-            "fe55ea973434d64fce5b5ed96f43fb51")
         assert est.n_rejected == 0
-        # the estimate before the tables' degree-8 segments were refit into
-        # degree-5 pieces: the change is the refit's, a few 1e-10 of a table
-        # value
-        before = [float.fromhex(h) for h in ("-0x1.355aa42d44cb2p+6", "-0x1.11ceb478e022ep+6",
-                                             "-0x1.878dc225202d7p+3", "-0x1.d8352a9783d60p+1")]
+        # the estimate before the unit phases, the directions and the window
+        # came from tan (AVX-512 loops): the change is rounding, a few 1e-16
+        before = [float.fromhex(h) for h in ("-0x1.355aa42d46a9fp+6", "-0x1.11ceb478df342p+6",
+                                             "-0x1.878dc225220f6p+3", "-0x1.d8352a9763f7fp+1")]
         for t, (re, im) in ((est.t_d, before[:2]), (est.t_e, before[2:])):
-            assert abs(t - complex(re, im)) <= 1e-10 * abs(complex(re, im))
+            assert abs(t - complex(re, im)) <= 1e-12 * abs(complex(re, im))
+        target = numpy_simd_target()
+        assert target in self.CANONICAL_BITS, f"no measured bits for numpy's {target} loops"
+        bits, cov_hash = self.CANONICAL_BITS[target]
+        assert [x.hex() for x in (est.t_d.real, est.t_d.imag, est.t_e.real, est.t_e.imag)] == bits
+        assert hashlib.blake2b(est.cov.tobytes(), digest_size=16).hexdigest() == cov_hash
