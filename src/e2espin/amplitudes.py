@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import Kinematics, KinematicsError
+from .kinematics import Kinematics, KinematicsError, check_angle
 from .spin import AmplitudePair
 
 __all__ = [
@@ -92,18 +92,20 @@ def pwba_amplitudes(kin: Kinematics) -> AmplitudePair:
 
 
 def pwba_grid(e0: float, e_b: float, e_t: float, theta_a_rad, theta_b_rad):
-    """Vectorized Born amplitudes on an angle grid.
+    """Vectorized Born amplitudes at angles (radians) that broadcast together.
 
-    Returns complex arrays (t_d, t_e) of shape (len(theta_a), len(theta_b)).
+    Returns complex arrays (t_d, t_e) of the angles' broadcast shape.
     """
     e_a = e0 + e_t - e_b
     if e_a <= 0.0:
         raise KinematicsError(f"closed channel: e_a = {e_a:.6g} <= 0")
+    ta = np.asarray(theta_a_rad, dtype=float)
+    tb = np.asarray(theta_b_rad, dtype=float)
+    check_angle("theta_a", ta)
+    check_angle("theta_b", tb)
     ka = math.sqrt(2.0 * e_a)
     kb = math.sqrt(2.0 * e_b)
     k0 = math.sqrt(2.0 * e0)
-    ta = np.asarray(theta_a_rad, dtype=float)[:, None]
-    tb = np.asarray(theta_b_rad, dtype=float)[None, :]
     kax, kaz = ka * np.sin(ta), ka * np.cos(ta)
     kbx, kbz = kb * np.sin(tb), kb * np.cos(tb)
     qx = kax + kbx
@@ -113,10 +115,10 @@ def pwba_grid(e0: float, e_b: float, e_t: float, theta_a_rad, theta_b_rad):
     db2 = kbx * kbx + (kbz - k0) ** 2
     if np.any(da2 == 0.0) or np.any(db2 == 0.0):
         raise KinematicsError("vanishing momentum transfer on the grid")
-    phi = _phi_1s_q2(q2)
+    phi = _phi_1s_q2(q2)  # of the broadcast shape, and so are t_d and t_e
     td = 4.0 * math.pi * phi / da2
     te = 4.0 * math.pi * phi / db2
-    return td.astype(complex), te.astype(complex)
+    return np.asarray(td, dtype=complex), np.asarray(te, dtype=complex)
 
 
 def free_limit_closed_form(kin: Kinematics, ordering: str = "direct") -> complex:

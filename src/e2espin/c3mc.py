@@ -113,10 +113,17 @@ point whose mirror image is the smaller at that image (``_canonical``):
 its momenta are the exact x-negations of the point's, so a point and
 its image give the same bits.  An estimate is thus a pure function of
 (config, physical point up to reflection, seed), and relabeling the
-electrons swaps t_d and t_e exactly.  ``estimate_key`` names that
-point: cells with equal keys share one estimate, which is how ``scan``
-fills a grid.  Blocks are reduced in a fixed order, so reruns give the
-same bits.
+electrons swaps t_d and t_e exactly.  Blocks are reduced in a fixed
+order, so reruns give the same bits.
+
+``estimate_key`` names that point, and ``c3_pairs`` estimates one point
+per key and fills the others, with t_d and t_e exchanged and the
+covariance reordered where the key says the electrons are listed in the
+other order.  The key identifies relabeled electrons at equal sharing,
+mirror images and -180 and +180 degrees, so an estimate of a filled
+point would give exactly its bits.  An equal-sharing grid estimates
+about a quarter of its cells.  A filled point's error is its source's,
+fully correlated: such points are not independent samples.
 """
 
 from __future__ import annotations
@@ -129,7 +136,7 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -232,6 +239,15 @@ def estimate_key(kin: Kinematics) -> tuple[tuple, bool]:
     a = (kin.e_a, _micro_degrees(kin.theta_a), *kin.k_a.tolist())
     b = (kin.e_b, _micro_degrees(kin.theta_b), *kin.k_b.tolist())
     return (kin.e0, kin.e_t, min(a, b), max(a, b)), b < a
+
+
+# the (Re t_d, Im t_d, Re t_e, Im t_e) order after relabeling the electrons
+_RELABELED = [2, 3, 0, 1]
+
+
+def _relabeled(est: PairEstimate) -> PairEstimate:
+    """``est`` with the electrons listed in the other order."""
+    return replace(est, t_d=est.t_e, t_e=est.t_d, cov=est.cov[np.ix_(_RELABELED, _RELABELED)])
 
 
 def _stream_word(kin: Kinematics) -> int:
@@ -612,12 +628,30 @@ def _estimate(sums, n_total: int) -> PairEstimate:
 def c3_pairs(kins, cfg: McConfig, workers: int | None = None) -> list[PairEstimate]:
     """Estimate both 3C amplitudes at each of ``kins``, in their order.
 
-    Every (point, block) task of the call runs on one pool of
-    min(``workers``, usable CPUs, tasks) threads, ``workers`` defaulting
-    to the usable CPUs; with one thread the tasks run in the caller's.
-    A point's estimate depends on neither the other points nor the pool.
+    Points with equal ``estimate_key`` share one estimate: the first of
+    them in ``kins`` is estimated, and the others take its amplitudes,
+    relabeled where their ``swapped`` differs from its.  Every (point,
+    block) task of the call runs on one pool of min(``workers``, usable
+    CPUs, tasks) threads, ``workers`` defaulting to the usable CPUs; with
+    one thread the tasks run in the caller's.  A point's estimate
+    depends on neither the other points nor the pool.
     """
     cfg = cfg.validated()
+    first = {}  # key -> (index of its estimate, the first point's order)
+    points, shares = [], []  # the points estimated; (estimate, relabeled) per point
+    for kin in kins:
+        key, swapped = estimate_key(kin)
+        if key not in first:
+            first[key] = (len(points), swapped)
+            points.append(kin)
+        index, first_swapped = first[key]
+        shares.append((index, swapped != first_swapped))
+    estimates = [(est, _relabeled(est)) for est in _estimate_points(points, cfg, workers)]
+    return [estimates[index][relabeled] for index, relabeled in shares]
+
+
+def _estimate_points(kins, cfg: McConfig, workers: int | None) -> list[PairEstimate]:
+    """The estimates at ``kins``, each at its ``_canonical`` point, on one pool of block threads."""
     n_total = int(cfg.samples)
     r_max = float(cfg.r_max)
     n_blocks = (n_total + BLOCK_SIZE - 1) // BLOCK_SIZE

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -30,7 +29,7 @@ from .entanglement import (
     linear_entropy,
     von_neumann_entropy,
 )
-from .kinematics import HARTREE_EV, build_coplanar
+from .kinematics import HARTREE_EV
 from .scan import (
     ConfigError,
     ScanConfig,
@@ -66,28 +65,15 @@ def _load_cfg(args) -> ScanConfig:
     return parse_config(data)
 
 
-def _point_grids(cfg: ScanConfig, args):
-    """Kinematics and 1x1 amplitude grids at the requested angle pair.
-
-    ``build_coplanar`` rejects NaN angles and angles outside
-    [-180, 180] deg for both models.
-    """
-    e0, eb, et = cfg.energies_hartree()
-    kin = build_coplanar(e0, eb, math.radians(args.theta_a), math.radians(args.theta_b), et)
-    td, te, covs = amplitude_grids(cfg, theta_a_deg=[args.theta_a], theta_b_deg=[args.theta_b])
-    return kin, td, te, covs
-
-
 def cmd_point(args) -> int:
     cfg = _load_cfg(args)
-    kin, td_grid, te_grid, covs = _point_grids(cfg, args)
-    obs = {k: v[0, 0].item() for k, v in
-           observables_from_amplitudes(cfg, td_grid, te_grid, covs).items()}
+    td, te, covs = amplitude_grids(cfg, args.theta_a, args.theta_b)
+    obs = {k: v.item() for k, v in observables_from_amplitudes(cfg, td, te, covs).items()}
     p1, p2 = resolve_polarizations(cfg)
-    td, te = complex(td_grid[0, 0]), complex(te_grid[0, 0])
+    td, te = complex(td), complex(te)
 
-    closed = concurrence_closed_form(td_grid, te_grid, p1, p2)
-    closed = None if closed is None else closed[0, 0].item()
+    closed = concurrence_closed_form(td, te, p1, p2)
+    closed = None if closed is None else closed.item()
     try:
         rho = rho_mixed(AmplitudePair(td, te), p1, p2)
     except DegenerateStateError:  # an empty pair state: the core's zeros
@@ -99,16 +85,17 @@ def cmd_point(args) -> int:
         s_lin = linear_entropy(red)
         chsh = chsh_expectation(rho)
 
+    e0, eb, et = cfg.energies_hartree()
     report = {
         "model": cfg.model,
         "scenario": cfg.scenario,
         "theta_a_deg": args.theta_a,
         "theta_b_deg": args.theta_b,
         "energies_ev": {
-            "e0": kin.e0 * HARTREE_EV,
-            "e_a": kin.e_a * HARTREE_EV,
-            "e_b": kin.e_b * HARTREE_EV,
-            "e_t": kin.e_t * HARTREE_EV,
+            "e0": e0 * HARTREE_EV,
+            "e_a": (e0 + et - eb) * HARTREE_EV,
+            "e_b": eb * HARTREE_EV,
+            "e_t": et * HARTREE_EV,
         },
         "amplitudes": {
             "t_d": {"re": td.real, "im": td.imag},
@@ -134,7 +121,7 @@ def cmd_point(args) -> int:
         "asymmetry": {"value": obs["asymmetry"], "violated": obs["asymmetry"] > RATIO_BOUND},
     }
     if covs is not None:
-        stderr = np.sqrt(np.clip(np.diagonal(covs[0, 0]), 0.0, None)).tolist()
+        stderr = np.sqrt(np.clip(np.diagonal(covs), 0.0, None)).tolist()
         report["amplitudes"]["t_d"]["stderr_re"] = stderr[0]
         report["amplitudes"]["t_d"]["stderr_im"] = stderr[1]
         report["amplitudes"]["t_e"]["stderr_re"] = stderr[2]
@@ -163,9 +150,9 @@ def cmd_bell_sim(args) -> int:
     cfg = _load_cfg(args)
     if args.n_per_setting < 1:
         raise ConfigError(f"--n-per-setting must be at least 1, got {args.n_per_setting}")
-    _, td, te, _ = _point_grids(cfg, args)
+    td, te, _ = amplitude_grids(cfg, args.theta_a, args.theta_b)
     p1, p2 = resolve_polarizations(cfg)
-    rho = rho_mixed(AmplitudePair(complex(td[0, 0]), complex(te[0, 0])), p1, p2)
+    rho = rho_mixed(AmplitudePair(complex(td), complex(te)), p1, p2)
     result = bellsim.simulate_chsh(rho, args.n_per_setting, cfg.mc.seed)
     report = {
         "model": cfg.model,

@@ -23,6 +23,7 @@ __all__ = [
     "KinematicsError",
     "HARTREE_EV",
     "Kinematics",
+    "check_angle",
     "build_coplanar",
     "tdcs_prefactor",
     "tdcs_polarized",
@@ -62,6 +63,14 @@ def _sin(theta: float) -> float:
     return 0.0 if abs(theta) == math.pi else math.sin(theta)
 
 
+def check_angle(name: str, theta) -> None:
+    """Raise KinematicsError unless every angle in ``theta`` (radians) lies in [-pi, pi]."""
+    theta = np.asarray(theta, dtype=float)
+    ok = np.abs(theta) <= math.pi + 1e-12  # a rounded pi passes; NaN fails every comparison
+    if not ok.all():
+        raise KinematicsError(f"{name} must lie in [-pi, pi], got {theta[~ok].flat[0]}")
+
+
 def build_coplanar(e0: float, e_b: float, theta_a: float, theta_b: float, e_t: float) -> Kinematics:
     """Construct on-shell coplanar kinematics.
 
@@ -90,9 +99,8 @@ def build_coplanar(e0: float, e_b: float, theta_a: float, theta_b: float, e_t: f
             f"closed channel: e_a = e0 + e_t - e_b = {e_a:.6g} <= 0 "
             f"(e0 = {e0:.6g}, e_t = {e_t:.6g}, e_b = {e_b:.6g})"
         )
-    for name, th in (("theta_a", theta_a), ("theta_b", theta_b)):
-        if not abs(th) <= math.pi + 1e-12:  # NaN fails every comparison
-            raise KinematicsError(f"{name} must lie in [-pi, pi], got {th}")
+    check_angle("theta_a", theta_a)
+    check_angle("theta_b", theta_b)
     ka = math.sqrt(2.0 * e_a)
     kb = math.sqrt(2.0 * e_b)
     k0v = np.array([0.0, 0.0, math.sqrt(2.0 * e0)])

@@ -9,9 +9,12 @@ maximum are flagged unmeasurable, mimicking a detection threshold: an
 experiment sees zeros there no matter what the entanglement measures
 do.
 
+``amplitude_grids`` evaluates the amplitudes at any angles that
+broadcast together: a scan passes its grid as a column and a row, and
+``point`` and ``bell-sim`` pass one angle each.
 ``observables_from_amplitudes`` is the one place observables are
-assembled: it maps amplitude arrays of any grid shape to a dict of
-arrays of that shape.  ``point`` and ``bell-sim`` call it on a 1x1 grid.
+assembled: it maps amplitude arrays of any shape to a dict of arrays of
+that shape.
 
 Polarization scenarios
 ----------------------
@@ -32,22 +35,13 @@ shortest round-trip decimal form, a 3C point's random stream follows
 from its kinematics alone (``c3mc``), and assembly is ordered no matter
 how many workers run the grid.
 
-A 3C scan estimates one cell per ``c3mc.estimate_key`` and fills the
-others: cells with equal keys share one estimate, with t_d and t_e
-exchanged where the key says the electrons are listed in the other
-order.  The key is ``c3mc``'s alone (relabeling the electrons at equal
-sharing, the reflection (theta_A, theta_B) -> (-theta_A, -theta_B),
--180 and +180 degrees as one direction), so an estimate of a filled
-cell would give exactly its bits and the fill changes no output byte.
-At equal sharing about a quarter of the cells are estimated.  A filled
-cell's error is its source's, fully correlated: such cells are not
-independent samples.
-
-A 3C scan hands its estimated cells to ``c3mc.c3_pairs`` in one call,
-which computes their sample blocks on one pool of up to ``workers``
-threads (by default the usable CPUs), capped by the usable CPUs and the
-blocks.  A thread reuses one workspace from block to block, so the
-working memory stays within the threads times one sliced block.
+A 3C scan hands its cells to ``c3mc.c3_pairs`` in one call, which
+estimates one cell per physical point (about a quarter of an
+equal-sharing grid) and computes their sample blocks on one pool of up
+to ``workers`` threads (by default the usable CPUs), capped by the
+usable CPUs and the blocks.  A thread reuses one workspace from block
+to block, so the working memory stays within the threads times one
+sliced block.
 """
 
 from __future__ import annotations
@@ -265,40 +259,6 @@ def resolve_polarizations(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(cfg.p1, dtype=float), np.asarray(cfg.p2, dtype=float)
 
 
-# the (Re t_d, Im t_d, Re t_e, Im t_e) order after relabeling the electrons
-_RELABELED = [2, 3, 0, 1]
-
-
-def _c3_amplitude_grid(cfg: ScanConfig, ta_rad: np.ndarray, tb_rad: np.ndarray,
-                       workers: int | None):
-    """Per-point 3C amplitudes and TDCS-gradient covariances.
-
-    Cells with equal ``c3mc.estimate_key`` share one estimate: the first
-    of them in row-major order is estimated, and the others take its
-    amplitudes, with the electrons relabeled where their order differs.
-    """
-    e0, eb, et = cfg.energies_hartree()
-    # key -> (the first cell's kinematics and order, [(cell, order)])
-    groups = {}
-    for cell in np.ndindex(len(ta_rad), len(tb_rad)):
-        kin = build_coplanar(e0, eb, float(ta_rad[cell[0]]), float(tb_rad[cell[1]]), et)
-        key, swapped = c3mc.estimate_key(kin)
-        groups.setdefault(key, (kin, swapped, []))[2].append((cell, swapped))
-
-    estimates = c3mc.c3_pairs([kin for kin, _, _ in groups.values()], cfg.mc, workers)
-    td = np.empty((len(ta_rad), len(tb_rad)), dtype=complex)
-    te = np.empty_like(td)
-    covs = np.empty(td.shape + (4, 4))
-    for (_, first, cells), est in zip(groups.values(), estimates):
-        relabeled_cov = est.cov[np.ix_(_RELABELED, _RELABELED)]
-        for cell, swapped in cells:
-            if swapped != first:
-                td[cell], te[cell], covs[cell] = est.t_e, est.t_d, relabeled_cov
-            else:
-                td[cell], te[cell], covs[cell] = est.t_d, est.t_e, est.cov
-    return td, te, covs
-
-
 def _wootters_grid(td, te, p1, p2) -> np.ndarray:
     """Pointwise Wootters concurrence of the averaged pair density matrix, 0 where empty."""
     rhos = pair_matrix(td, te, p1, p2)
@@ -309,41 +269,42 @@ def _wootters_grid(td, te, p1, p2) -> np.ndarray:
     return out
 
 
-def amplitude_grids(cfg: ScanConfig, workers: int | None = None, theta_a_deg=None,
-                    theta_b_deg=None):
-    """Amplitude arrays (t_d, t_e, covariances) on a (theta_A, theta_B) grid.
+def amplitude_grids(cfg: ScanConfig, theta_a_deg, theta_b_deg, workers: int | None = None):
+    """Amplitude arrays (t_d, t_e, covariances) at angles that broadcast together.
 
-    Both angle axes default to the configured grid; ``point`` passes one
-    angle each.  A 3C estimate depends on its own angles only, not on the
-    grid around it.  Cells with equal ``c3mc.estimate_key`` share one
-    estimate, with t_d and t_e exchanged and the covariance reordered
-    where the electrons are listed in the other order; the fill is bit
-    for bit what estimating the filled cell gives, and an equal-sharing
-    grid estimates about a quarter of its cells.  3C computes its sample
-    blocks on ``workers`` threads (``c3mc.c3_pairs``).  The covariance
-    array is None for the analytic Born model.  The grids do not depend
-    on the polarization scenario, so one evaluation can feed several
+    The arrays have the angles' broadcast shape, the covariances that
+    shape + (4, 4); the covariance array is None for the analytic Born
+    model.  A 3C estimate depends on its own angles only, and
+    ``c3mc.c3_pairs`` estimates each physical point once and computes its
+    sample blocks on ``workers`` threads.  The arrays do not depend on
+    the polarization scenario, so one evaluation can feed several
     scenario assemblies.
     """
-    grid = cfg.grid_deg()
-    ta = np.deg2rad(grid if theta_a_deg is None else theta_a_deg)
-    tb = np.deg2rad(grid if theta_b_deg is None else theta_b_deg)
+    ta = np.deg2rad(theta_a_deg)
+    tb = np.deg2rad(theta_b_deg)
     e0, eb, et = cfg.energies_hartree()
     if cfg.model == "pwba":
         td, te = pwba_grid(e0, eb, et, ta, tb)
         return td, te, None
     if cfg.model == "c3":
-        return _c3_amplitude_grid(cfg, ta, tb, workers)
+        ta, tb = np.broadcast_arrays(ta, tb)
+        kins = [build_coplanar(e0, eb, a, b, et) for a, b in zip(ta.ravel().tolist(),
+                                                                tb.ravel().tolist())]
+        estimates = c3mc.c3_pairs(kins, cfg.mc, workers)
+        td = np.array([est.t_d for est in estimates], dtype=complex).reshape(ta.shape)
+        te = np.array([est.t_e for est in estimates], dtype=complex).reshape(ta.shape)
+        covs = np.array([est.cov for est in estimates]).reshape(ta.shape + (4, 4))
+        return td, te, covs
     raise ValueError(f"unknown amplitude model {cfg.model!r}")
 
 
 def observables_from_amplitudes(cfg: ScanConfig, td, te, covs=None) -> dict:
-    """Scenario observables and masking from amplitude grids.
+    """Scenario observables and masking from amplitude arrays.
 
-    Returns a dict of arrays with the grid's shape: ``tdcs`` (for the
-    scenario's polarizations), the spin-resolved parts ``i_par``,
-    ``i_anti``, ``i_anti_direct``, ``i_anti_exchange``, ``i_singlet``,
-    ``i_triplet``, then ``concurrence``, ``eof``, ``bell_lhs``,
+    Returns a dict of arrays with the amplitudes' shape, 0-d included:
+    ``tdcs`` (for the scenario's polarizations), the spin-resolved parts
+    ``i_par``, ``i_anti``, ``i_anti_direct``, ``i_anti_exchange``,
+    ``i_singlet``, ``i_triplet``, then ``concurrence``, ``eof``, ``bell_lhs``,
     ``asymmetry``, ``measurable`` and, given covariances,
     ``tdcs_stderr`` (delta method).  Points where the pair state is empty
     by ``spin``'s rule give 0 for ``concurrence``, ``eof`` and ``bell_lhs``.
@@ -407,9 +368,10 @@ def observables_from_amplitudes(cfg: ScanConfig, td, te, covs=None) -> dict:
             ],
             axis=-1,
         )
-        var = np.einsum("ija,ijab,ijb->ij", grad, covs, grad)
+        var = np.einsum("...a,...ab,...b->...", grad, covs, grad)
         obs["tdcs_stderr"] = np.sqrt(np.clip(var, 0.0, None))
-    return obs
+    # ufuncs turn 0-d arrays into numpy scalars
+    return {name: np.asarray(value) for name, value in obs.items()}
 
 
 def run_scan(cfg: ScanConfig, workers: int | None = None) -> tuple[dict, np.ndarray]:
@@ -419,8 +381,9 @@ def run_scan(cfg: ScanConfig, workers: int | None = None) -> tuple[dict, np.ndar
     and the angle axis in degrees.  The result is independent of
     ``workers`` (each 3C point's stream is keyed by its physical point).
     """
-    td, te, covs = amplitude_grids(cfg, workers)
-    return observables_from_amplitudes(cfg, td, te, covs), cfg.grid_deg()
+    grid = cfg.grid_deg()
+    td, te, covs = amplitude_grids(cfg, grid[:, None], grid[None, :], workers)
+    return observables_from_amplitudes(cfg, td, te, covs), grid
 
 
 _CSV_FLOATS = ("tdcs", "concurrence", "eof", "bell_lhs", "asymmetry")

@@ -68,7 +68,7 @@ def random_unit(rng):
 def pwba_scans():
     """Default-protocol PWBA scans (2 degree grid) per scenario."""
     cfg = parse_config({})  # 54.4 eV, equal sharing, 2 degrees, pwba
-    td, te, covs = amplitude_grids(cfg)
+    td, te, covs = amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
     out = {"thetas": cfg.grid_deg()}
     for scenario in ("perp", "antiparallel", "one_unpolarized", "unpolarized"):
         out[scenario] = observables_from_amplitudes(
@@ -87,7 +87,7 @@ def c3_scans():
             "mc": {"samples": C3_SCAN_SAMPLES, "seed": 0},
         }
     )
-    td, te, covs = amplitude_grids(cfg)
+    td, te, covs = amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
     out = {"thetas": cfg.grid_deg(), "td": td, "te": te}
     for scenario in ("perp", "antiparallel", "unpolarized"):
         out[scenario] = observables_from_amplitudes(
@@ -346,7 +346,7 @@ def test_criterion_07b_pwba_diagonal_concurrence(pwba_scans):
 
 def test_criterion_07c_pwba_unpolarized_gate(pwba_scans):
     cfg = parse_config({})
-    td, te, _ = amplitude_grids(cfg)
+    td, te, _ = amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
     i_s = 0.25 * np.abs(td + te) ** 2
     i_t = 0.75 * np.abs(td - te) ** 2
     _, get = _grids(pwba_scans, "unpolarized")

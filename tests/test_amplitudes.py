@@ -105,7 +105,7 @@ class TestPwba:
 
     def test_grid_matches_pointwise(self):
         thetas = np.deg2rad(np.array([-120.0, -45.0, 0.0, 30.0, 160.0]))
-        td, te = pwba_grid(2.0, 0.75, -0.5, thetas, thetas)
+        td, te = pwba_grid(2.0, 0.75, -0.5, thetas[:, None], thetas)
         for i, ta in enumerate(thetas):
             for j, tb in enumerate(thetas):
                 kin = build_coplanar(2.0, 0.75, float(ta), float(tb), -0.5)
@@ -199,27 +199,27 @@ class TestFreeLimitClosedForm:
 
 
 def _symmetric_point(model, **over):
-    """1x1 amplitude grids at e0 = 2 hartree, equal sharing, theta = +-0.6 rad."""
+    """0-d amplitude arrays at e0 = 2 hartree, equal sharing, theta = +-0.6 rad."""
     data = {"model": model, "e0_ev": 2.0 * HARTREE_EV, **over}
     th = math.degrees(0.6)
-    return amplitude_grids(parse_config(data), theta_a_deg=[th], theta_b_deg=[-th])
+    return amplitude_grids(parse_config(data), th, -th)
 
 
 class TestAmplitudePairApi:
     def test_pwba_has_zero_errors(self):
         td, te, covs = _symmetric_point("pwba")
         assert covs is None
-        assert td[0, 0] == te[0, 0]
+        assert td.shape == () and td == te
 
     def test_c3_symmetric_equal_pair(self):
         td, te, covs = _symmetric_point("c3", mc={"samples": 2000, "seed": 4})
-        assert td[0, 0] == te[0, 0]
-        assert covs[0, 0, 0, 0] > 0.0
+        assert td.shape == () and td == te
+        assert covs.shape == (4, 4) and covs[0, 0] > 0.0
 
     def test_unknown_model(self):
         cfg = replace(parse_config({}), model="dwba")
         with pytest.raises(ValueError):
-            amplitude_grids(cfg, theta_a_deg=[30.0], theta_b_deg=[-30.0])
+            amplitude_grids(cfg, 30.0, -30.0)
 
     def test_mc_config_validation(self):
         with pytest.raises(ValueError):

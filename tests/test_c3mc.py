@@ -526,7 +526,8 @@ class TestCoulombTables:
         # sqrt(2 E), whatever its momentum vectors' norms; with a correlation
         # table for each relative angle 10, 20, ..., 180 degrees
         c3mc._table.cache_clear()
-        amplitude_grids(parse_config({"model": "c3", "step_deg": 10.0, "mc": {"samples": 1000}}))
+        cfg = parse_config({"model": "c3", "step_deg": 10.0, "mc": {"samples": 1000}})
+        amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
         assert c3mc._table.cache_info().currsize == 1 + 18
 
     @pytest.mark.parametrize("eb_ev, theta_a, theta_b", [
@@ -653,7 +654,7 @@ class TestBlockPool:
         cfg = parse_config({"model": "c3", "eb_ev": 5.0, "theta_min_deg": -90.0,
                             "theta_max_deg": 0.0, "step_deg": 90.0,
                             "mc": {"samples": 70_000, "seed": 5}})
-        amplitude_grids(cfg, workers=8)
+        amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg(), workers=8)
         assert active[0] == 0 and 0 < active[1] <= 2
         assert seen and all(name.startswith("c3mc-block") for name in seen)
         assert not [t for t in threading.enumerate() if t.name.startswith("c3mc-block")]
@@ -712,14 +713,15 @@ class TestBlockPool:
                             "theta_max_deg": 90.0, "step_deg": 90.0,
                             "mc": {"samples": 70_000, "seed": 5}})
         cpus(1)
-        alone = amplitude_grids(cfg, workers=1)
+        grid = cfg.grid_deg()
+        alone = amplitude_grids(cfg, grid[:, None], grid, workers=1)
         assert [name for _, name in made] == [threading.current_thread().name]
         made.clear()
         cpus(2)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            pooled = amplitude_grids(cfg, workers=3)
+            pooled = amplitude_grids(cfg, grid[:, None], grid, workers=3)
         finally:
             sys.setswitchinterval(switch)
         for a, b in zip(alone, pooled):

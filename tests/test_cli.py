@@ -73,6 +73,15 @@ class TestPointCommand:
         assert rep["concurrence"]["closed_form"] is None
         assert 0.0 <= rep["concurrence"]["wootters"] <= 1.0
 
+    @staticmethod
+    def scan_rows(capsys, cfg, out_dir) -> dict:
+        """The CSV rows of a scan of the config file ``cfg``, by (theta_a, theta_b) text."""
+        code, _, _ = run_cli(capsys, "scan", "--config", str(cfg), "--output-dir", str(out_dir))
+        assert code == EXIT_OK
+        rows = (out_dir / "records.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        return {tuple(r.split(",")[:2]): dict(zip(header, r.split(","))) for r in rows[1:]}
+
     @pytest.mark.parametrize("theta_a, theta_b", [(45.0, -45.0), (30.0, 30.0)])
     def test_empty_pair_state_reports_the_scan_row(self, capsys, tmp_path, theta_a, theta_b):
         cfg = tmp_path / "cfg.json"
@@ -81,18 +90,42 @@ class TestPointCommand:
                                "--theta-a", str(theta_a), "--theta-b", str(theta_b))
         assert code == EXIT_OK
         rep = json.loads(out)
-        assert run_cli(capsys, "scan", "--config", str(cfg),
-                       "--output-dir", str(tmp_path))[0] == EXIT_OK
-        rows = (tmp_path / "records.csv").read_text().splitlines()
-        header = rows[0].split(",")
-        row = next(dict(zip(header, r.split(","))) for r in rows[1:]
-                   if r.startswith(f"{theta_a!r},{theta_b!r},"))
+        row = self.scan_rows(capsys, cfg, tmp_path)[repr(theta_a), repr(theta_b)]
         assert rep["tdcs"]["scenario_tdcs"] == float(row["tdcs"]) == 0.0
         assert rep["concurrence"]["closed_form"] == float(row["concurrence"]) == 0.0
         assert rep["entanglement_of_formation"] == float(row["eof"]) == 0.0
         assert rep["chsh"]["bell_lhs"] == float(row["bell_lhs"]) == 0.0
         assert rep["asymmetry"]["value"] == float(row["asymmetry"])
         assert rep["concurrence"]["wootters"] == rep["chsh"]["expectation"] == 0.0
+
+    @pytest.mark.parametrize("model", ["pwba", "c3"])
+    @pytest.mark.parametrize("data", [
+        {"scenario": "perp"}, {"scenario": "antiparallel"}, {"scenario": "one_unpolarized"},
+        {"scenario": "unpolarized"},
+        {"scenario": "custom", "p1": [0, 0, 0.5], "p2": [0.3, 0, 0]},  # the Wootters route
+    ], ids=lambda data: data["scenario"])
+    def test_point_reports_the_scan_row(self, capsys, tmp_path, model, data):
+        # away from empty pair states too, bit for bit; (60, -30) is the mirror
+        # image of (-60, 30), which relabels (30, -60)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**data, "model": model, "theta_min_deg": -90.0,
+                                   "theta_max_deg": 150.0, "step_deg": 30.0,
+                                   "mc": {"samples": 2000, "seed": 3}}))
+        rows = self.scan_rows(capsys, cfg, tmp_path)
+        for theta_a, theta_b in ((30.0, -60.0), (60.0, -30.0), (-90.0, 120.0), (150.0, 30.0)):
+            code, out, _ = run_cli(capsys, "point", "--config", str(cfg),
+                                   "--theta-a", str(theta_a), "--theta-b", str(theta_b))
+            assert code == EXIT_OK
+            rep = json.loads(out)
+            row = rows[repr(theta_a), repr(theta_b)]
+            concurrence = rep["concurrence"]["closed_form"]
+            if concurrence is None:
+                concurrence = rep["concurrence"]["wootters"]
+            assert rep["tdcs"]["scenario_tdcs"] == float(row["tdcs"]) > 0.0
+            assert concurrence == float(row["concurrence"])
+            assert rep["entanglement_of_formation"] == float(row["eof"])
+            assert rep["chsh"]["bell_lhs"] == float(row["bell_lhs"])
+            assert rep["asymmetry"]["value"] == float(row["asymmetry"])
 
     def test_c3_point_mirror_image_reports_the_same_amplitudes(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -321,13 +354,21 @@ class TestExitCodes:
         [
             ("point", "--theta-a", "nan", "--theta-b", "-45"),
             ("bell-sim", "--theta-a", "45", "--theta-b", "nan"),
+            *((command, "--model", model, *angles)
+              for command in ("point", "bell-sim") for model in ("pwba", "c3")
+              for angles in (("--theta-a", "180.5", "--theta-b", "-45"),
+                             ("--theta-a", "45", "--theta-b", "-200"))),
         ],
     )
     def test_nan_angle_is_rejected(self, capsys, argv):
+        # and angles beyond +-180 degrees, on both models
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_NUMERIC
         assert out == ""
-        assert "must lie in [-pi, pi], got nan" in err
+        name, bad = next((name, float(value)) for name, value in
+                         (("theta_a", argv[-3]), ("theta_b", argv[-1]))
+                         if not abs(float(value)) <= 180.0)
+        assert f"{name} must lie in [-pi, pi], got {math.radians(bad)}" in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "non_utf8"])
     def test_missing_config_file(self, capsys, tmp_path, kind):

@@ -28,5 +28,5 @@ def test_library_sketch_runs_and_gives_its_commented_results():
     assert wootters == pytest.approx(1.0, abs=1e-12)
     assert chsh == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
     assert closed == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(i_par, [[0.0]], atol=1e-12)
-    np.testing.assert_allclose(bell_lhs, [[1.0]], atol=1e-12)
+    np.testing.assert_allclose(i_par, 0.0, atol=1e-12)
+    np.testing.assert_allclose(bell_lhs, 1.0, atol=1e-12)

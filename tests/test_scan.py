@@ -203,7 +203,7 @@ class TestRunScanPwba:
 
     def test_one_unpolarized_matches_perp_grids(self):
         cfg = coarse_cfg(scenario="perp")
-        td, te, covs = amplitude_grids(cfg)
+        td, te, covs = amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
         obs_perp = observables_from_amplitudes(cfg, td, te, covs)
         obs_one = observables_from_amplitudes(
             replace(cfg, scenario="one_unpolarized"), td, te, covs
@@ -213,7 +213,7 @@ class TestRunScanPwba:
 
     def test_unpolarized_tdcs_matches_perp(self):
         cfg = coarse_cfg(scenario="perp")
-        td, te, covs = amplitude_grids(cfg)
+        td, te, covs = amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
         obs_perp = observables_from_amplitudes(cfg, td, te, covs)
         obs_unpol = observables_from_amplitudes(replace(cfg, scenario="unpolarized"), td, te, covs)
         a, b = obs_perp["tdcs"], obs_unpol["tdcs"]
@@ -222,7 +222,7 @@ class TestRunScanPwba:
     def test_unpolarized_concurrence_vanishes_when_triplet_dominates(self):
         obs, _ = run_scan(coarse_cfg(scenario="unpolarized"))
         cfg = coarse_cfg()
-        td, te, _ = amplitude_grids(cfg)
+        td, te, _ = amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
         i_s = 0.25 * np.abs(td + te) ** 2
         i_t = 0.75 * np.abs(td - te) ** 2
         assert np.all(obs["concurrence"][i_t >= i_s] == 0.0)
@@ -319,6 +319,29 @@ class TestObservablesCore:
             ):
                 assert abs(obs[name][i, j] - want) <= 1e-10, name
 
+    @pytest.mark.parametrize("data", CORE_SCENARIOS, ids=lambda d: d["scenario"])
+    def test_every_shape_gives_the_same_bits_per_point(self, data):
+        # a 2-D grid, its rows as 1-D arrays and each point as 0-d arrays;
+        # the measurable mask is relative to the input's maximum, so it differs
+        cfg = parse_config(data)
+        rng = np.random.default_rng(35)
+        td, te = random_grids(rng)
+        td[0, :3] = te[0, :3] = 0.0
+        td[1, :2] = te[1, :2]  # t_d = t_e: an empty pair state for parallel spins
+        a = rng.standard_normal((7, 6, 4, 4))
+        covs = a @ np.swapaxes(a, -1, -2)
+        grid = observables_from_amplitudes(cfg, td, te, covs)
+        assert len(grid) == 13
+        for i, j in np.ndindex(td.shape):
+            row = observables_from_amplitudes(cfg, td[i], te[i], covs[i])
+            point = observables_from_amplitudes(cfg, td[i, j], te[i, j], covs[i, j])
+            for name, value in grid.items():
+                assert isinstance(row[name], np.ndarray) and row[name].shape == (6,), name
+                assert isinstance(point[name], np.ndarray) and point[name].shape == (), name
+                if name != "measurable":
+                    assert same_bits(row[name][j], value[i, j]), name
+                    assert same_bits(point[name], value[i, j]), name
+
     def test_unpolarized_concurrence_is_measurable_form(self):
         """C = max(0, (I_S - I_T)/(I_S + I_T)) from the core's own arrays."""
         td, te = random_grids(np.random.default_rng(33), (40, 50))
@@ -380,9 +403,10 @@ class TestRunScanC3:
         cfg = parse_config({"model": "c3", "theta_min_deg": -90.0, "theta_max_deg": 0.0,
                             "step_deg": 90.0,
                             "mc": {"samples": 2 * c3mc.BLOCK_SIZE + 2000, "seed": 5}})
-        td, te, covs = amplitude_grids(cfg, workers=workers)
+        grid = cfg.grid_deg()
+        td, te, covs = amplitude_grids(cfg, grid[:, None], grid, workers=workers)
         assert pools == [expected]
-        serial = amplitude_grids(cfg, workers=1)
+        serial = amplitude_grids(cfg, grid[:, None], grid, workers=1)
         assert all(np.array_equal(x, y) for x, y in zip((td, te, covs), serial))
 
 
@@ -390,7 +414,7 @@ def c3_grids(theta_min, theta_max, step, **over):
     cfg = parse_config({"model": "c3", "e0_ev": 54.4, "theta_min_deg": theta_min,
                         "theta_max_deg": theta_max, "step_deg": step,
                         "mc": {"samples": 2000, "seed": 3}, **over})
-    return amplitude_grids(cfg)
+    return amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
 
 
 class TestPhysicalStreams:
@@ -399,9 +423,9 @@ class TestPhysicalStreams:
     def test_point_equals_scan_cell(self):
         td, te, covs = c3_grids(-60.0, 60.0, 30.0)
         cfg = parse_config({"model": "c3", "e0_ev": 54.4, "mc": {"samples": 2000, "seed": 3}})
-        ptd, pte, pcovs = amplitude_grids(cfg, theta_a_deg=[30.0], theta_b_deg=[-60.0])
-        assert ptd[0, 0] == td[3, 0] and pte[0, 0] == te[3, 0]
-        assert np.array_equal(pcovs[0, 0], covs[3, 0])
+        ptd, pte, pcovs = amplitude_grids(cfg, 30.0, -60.0)
+        assert ptd == td[3, 0] and pte == te[3, 0]
+        assert np.array_equal(pcovs, covs[3, 0])
 
     def test_scan_ranges_agree_on_shared_points(self):
         # {-30, 0, 30, 60} deg is in both grids
@@ -417,12 +441,13 @@ class TestPhysicalStreams:
                             "theta_max_deg": 90.0, "step_deg": 30.0,
                             "mc": {"samples": 2000, "seed": 3}})
         thetas = cfg.grid_deg()
-        rows = [amplitude_grids(cfg, theta_a_deg=[t], theta_b_deg=thetas) for t in thetas]
+        rows = [amplitude_grids(cfg, [[t]], thetas) for t in thetas]
         td, te, covs = (np.concatenate([row[k] for row in rows]) for k in range(3))
         assert np.array_equal(td, te.T)
         assert np.count_nonzero(td) == 42  # all but the coincident diagonal
         # the grid that fills cells by relabeling gives the same bits
-        assert all(same_bits(x, y) for x, y in zip(amplitude_grids(cfg), (td, te, covs)))
+        filled = amplitude_grids(cfg, thetas[:, None], thetas)
+        assert all(same_bits(x, y) for x, y in zip(filled, (td, te, covs)))
 
     def test_plus_and_minus_180_rows_share_a_stream(self):
         # -180 and +180 deg are one direction, with one stream and bitwise
@@ -458,7 +483,7 @@ def recording(monkeypatch, module, name, pause=0.0) -> list:
 
 
 def points_of(calls) -> list:
-    """The kinematics passed to the recorded ``c3mc.c3_pairs`` calls, in order."""
+    """The kinematics passed to the recorded ``c3mc._estimate_points`` calls, in order."""
     return [kin for kins, *_ in calls for kin in kins]
 
 
@@ -468,8 +493,9 @@ C3_SCAN = {"model": "c3", "e0_ev": 54.4, "theta_min_deg": -150.0, "theta_max_deg
 
 
 class TestRelabelingFill:
-    # a 3C grid estimates one cell per c3mc.estimate_key (relabeling the
-    # electrons at equal sharing, and the reflection x -> -x) and fills the rest
+    # c3mc.c3_pairs estimates one cell of a 3C grid per c3mc.estimate_key
+    # (relabeling the electrons at equal sharing, and the reflection x -> -x)
+    # and fills the rest
 
     def test_filled_cells_equal_independent_points(self):
         # the +-180 rows and the theta_B = -theta_A cells included, at equal
@@ -483,19 +509,19 @@ class TestRelabelingFill:
             cfg = parse_config({"model": "c3", "theta_max_deg": 180.0, **over,
                                 "mc": {"samples": 2000, "seed": 3}})
             theta_a, theta_b = axes or (cfg.grid_deg(), cfg.grid_deg())
-            td, te, covs = amplitude_grids(cfg, theta_a_deg=theta_a, theta_b_deg=theta_b)
+            td, te, covs = amplitude_grids(cfg, np.array(theta_a)[:, None], theta_b)
             for i, j in np.ndindex(td.shape):
-                ptd, pte, pcovs = amplitude_grids(cfg, theta_a_deg=[theta_a[i]],
-                                                  theta_b_deg=[theta_b[j]])
-                assert same_bits(ptd[0, 0], td[i, j]) and same_bits(pte[0, 0], te[i, j])
-                assert same_bits(pcovs[0, 0], covs[i, j])
+                ptd, pte, pcovs = amplitude_grids(cfg, theta_a[i], theta_b[j])
+                assert same_bits(ptd, td[i, j]) and same_bits(pte, te[i, j])
+                assert same_bits(pcovs, covs[i, j])
 
     def test_c3_scan_estimates_half_and_builds_a_table_per_relative_angle(self, monkeypatch):
-        calls = recording(monkeypatch, c3mc, "c3_pairs")
+        calls = recording(monkeypatch, c3mc, "_estimate_points")
         # the pause makes both block threads miss the empty cache at once
         kummer = recording(monkeypatch, special, "kummer_1f1", pause=0.01)
         c3mc._table.cache_clear()
-        amplitude_grids(parse_config(C3_SCAN), workers=2)
+        cfg = parse_config(C3_SCAN)
+        amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg(), workers=2)
         pairs = points_of(calls)
         # (121 + 11 + 1 + 11) / 4 orbits of relabeling and reflection, the
         # 6 orbits of the coincident diagonal included
@@ -519,16 +545,16 @@ class TestRelabelingFill:
         if cfg.eb_ev != 5.0:
             assert 2 * Decimal(repr(cfg.eb_ev)) == Decimal(repr(cfg.e0_ev)) + Decimal(
                 repr(HYDROGEN_ET_EV))
-        pairs = recording(monkeypatch, c3mc, "c3_pairs")
-        amplitude_grids(cfg)
+        pairs = recording(monkeypatch, c3mc, "_estimate_points")
+        amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
         assert len(points_of(pairs)) == calls
 
     def test_different_axes_share_relabeled_cells(self, monkeypatch):
         # {-150, -120, -90} against its reverse: 9 cells, 3 pairs of them relabeled
         cfg = parse_config({**C3_SCAN, "mc": {"samples": 1000}})
         thetas = cfg.grid_deg()[:3]
-        pairs = recording(monkeypatch, c3mc, "c3_pairs")
-        amplitude_grids(cfg, theta_a_deg=thetas, theta_b_deg=thetas[::-1])
+        pairs = recording(monkeypatch, c3mc, "_estimate_points")
+        amplitude_grids(cfg, thetas[:, None], thetas[::-1])
         assert len(points_of(pairs)) == 6
 
     def test_grid_with_180_but_not_minus_180_fills_mirror_images(self, monkeypatch):
@@ -536,8 +562,8 @@ class TestRelabelingFill:
         # (180 staying 180) fixes {a, -a} for a in 30 .. 150, {0, 0},
         # {180, 180} and {0, 180}: (78 + 8) / 2 keys
         cfg = parse_config({**C3_SCAN, "theta_max_deg": 180.0, "mc": {"samples": 1000}})
-        pairs = recording(monkeypatch, c3mc, "c3_pairs")
-        amplitude_grids(cfg)
+        pairs = recording(monkeypatch, c3mc, "_estimate_points")
+        amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg())
         assert len(points_of(pairs)) == 43
 
     @pytest.mark.parametrize("eb_ev, words", [(None, 8191), (5.0, 16202)])
@@ -549,8 +575,9 @@ class TestRelabelingFill:
             estimated.extend(c3mc._stream_word(c3mc._canonical(kin)) for kin in kins)
             return [c3mc.PairEstimate(0j, 0j, np.zeros((4, 4)), mc.samples, 0) for _ in kins]
 
-        monkeypatch.setattr(c3mc, "c3_pairs", stub)
-        amplitude_grids(parse_config({"model": "c3", "eb_ev": eb_ev}), workers=1)
+        monkeypatch.setattr(c3mc, "_estimate_points", stub)
+        cfg = parse_config({"model": "c3", "eb_ev": eb_ev})
+        amplitude_grids(cfg, cfg.grid_deg()[:, None], cfg.grid_deg(), workers=1)
         assert len(estimated) == len(set(estimated)) == words
 
 
